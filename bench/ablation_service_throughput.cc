@@ -11,6 +11,7 @@
 // latency from the util/metrics histograms alongside.
 #include <cstdlib>
 #include <iostream>
+#include <string>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -42,6 +43,9 @@ struct RunOutcome {
   double motivation_sum = 0.0;  // Bit-identity probe across services.
   double p50_solve_seconds = 0.0;
   double p99_solve_seconds = 0.0;
+  // Registry snapshot at the end of this run; rows are appended after
+  // every run is done, when the registry holds only the last run.
+  std::string metrics_snapshot;
 };
 
 AssignmentServiceOptions ServiceOptions(const ThroughputConfig& config,
@@ -128,6 +132,7 @@ RunOutcome RunUnsharded(const ThroughputConfig& config,
       RunConcurrentDeployment(&service, catalog, &behavioral, deployment);
   outcome.wall_seconds = timer.ElapsedSeconds();
   FillSolveQuantiles(&outcome);
+  outcome.metrics_snapshot = metrics::SnapshotJson();
   outcome.completions = CountCompletions(outcome.result);
   outcome.motivation_sum = MotivationSum(service.iterations());
   return outcome;
@@ -156,6 +161,7 @@ RunOutcome RunSharded(const ThroughputConfig& config, const Catalog& catalog,
       RunShardedDeployment(&service, catalog, &behavioral, deployment);
   outcome.wall_seconds = timer.ElapsedSeconds();
   FillSolveQuantiles(&outcome);
+  outcome.metrics_snapshot = metrics::SnapshotJson();
   outcome.completions = CountCompletions(outcome.result);
   for (size_t s = 0; s < service.num_shards(); ++s) {
     outcome.motivation_sum += MotivationSum(service.shard(s).iterations());
@@ -286,7 +292,7 @@ int main() {
          {"completions_per_sec_speedup", bench::JsonNum(rate / base_rate)},
          {"p50_solve_seconds", bench::JsonNum(run.p50_solve_seconds)},
          {"p99_solve_seconds", bench::JsonNum(run.p99_solve_seconds)}},
-        run.wall_seconds);
+        run.wall_seconds, run.metrics_snapshot);
   };
   add_row(1, 1, one_shard);
   for (const auto& [shards, run] : sharded_runs) add_row(shards, shards, run);

@@ -86,12 +86,14 @@ inline int ResolvedBenchThreads() {
 /// records written in different environments stay comparable. No-op
 /// when the variable is unset. Param values are raw JSON fragments —
 /// build them with JsonNum / JsonStr. With HTA_METRICS=1 the record
-/// additionally carries a "metrics" object: the full registry snapshot
-/// at append time (metrics::SnapshotJson()).
+/// additionally carries a "metrics" object: `metrics_snapshot`, a
+/// metrics::SnapshotJson() the caller took when the recorded run ended,
+/// so a bench that appends after several runs attributes each snapshot
+/// to its own run.
 inline void AppendBenchJson(
     const std::string& bench,
     const std::vector<std::pair<std::string, std::string>>& params,
-    double seconds) {
+    double seconds, const std::string& metrics_snapshot) {
   const std::string path = GetEnvOr("HTA_BENCH_JSON", "");
   if (path.empty()) return;
   std::ofstream out(path, std::ios::app);
@@ -107,9 +109,18 @@ inline void AppendBenchJson(
   }
   out << "}, \"seconds\": " << JsonNum(seconds);
   if (metrics::Enabled()) {
-    out << ", \"metrics\": " << metrics::SnapshotJson();
+    out << ", \"metrics\": " << metrics_snapshot;
   }
   out << "}\n";
+}
+
+/// As above, with the registry snapshot taken at append time.
+inline void AppendBenchJson(
+    const std::string& bench,
+    const std::vector<std::pair<std::string, std::string>>& params,
+    double seconds) {
+  AppendBenchJson(bench, params, seconds,
+                  metrics::Enabled() ? metrics::SnapshotJson() : "");
 }
 
 }  // namespace hta::bench

@@ -10,14 +10,18 @@ namespace hta {
 
 /// GREEDYMATCHING (Section IV-C): repeatedly select the heaviest
 /// remaining edge whose endpoints are both free. A classic
-/// 1/2-approximation for maximum weight matching, O(|E| log |V|).
+/// 1/2-approximation for maximum weight matching.
 ///
-/// Ties are broken deterministically by (weight desc, u asc, v asc), so
-/// results are reproducible across runs and platforms. The O(|E| log
-/// |E|) sort — the phase-1 bottleneck at paper scale — runs as a
-/// pool-backed stable merge sort (util/parallel.h) whose output is
-/// bit-identical to the serial sort at any thread count; `max_threads`
-/// caps the threads used (0 = pool size, 1 = serial).
+/// Edges are taken in the strict order (weight desc, u asc, v asc), for
+/// any input order, so results are reproducible across runs and
+/// platforms. The order comes from a stable LSD radix sort on an
+/// order-preserving 32-bit image of the weight (-0.0f counts as +0.0f):
+/// at most four O(|E|) passes through one |E|-edge scratch buffer,
+/// instead of an O(|E| log |E|) comparison sort. Each run of equal
+/// weights is then (u, v)-sorted only where its input order differs;
+/// BuildDiversityEdges' row-major lists never need it. The scan stops
+/// once fewer than two vertices are free. The sort is serial;
+/// `max_threads` is accepted for call-site compatibility and ignored.
 GraphMatching GreedyMaxWeightMatching(size_t vertex_count,
                                       std::vector<WeightedEdge> edges,
                                       size_t max_threads = 0);

@@ -1,7 +1,6 @@
 #ifndef HTA_UTIL_PARALLEL_H_
 #define HTA_UTIL_PARALLEL_H_
 
-#include <algorithm>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -154,60 +153,6 @@ T ParallelReduce(size_t begin, size_t end, size_t grain, T init, MapFn&& map,
     acc = reduce(std::move(acc), std::move(partials[block]));
   }
   return acc;
-}
-
-/// Elements per leaf block of ParallelStableSort. Fixed — never derived
-/// from the thread count — so the sort/merge tree, and therefore the
-/// output sequence, is identical for every HTA_THREADS setting.
-inline constexpr size_t kParallelSortGrain = size_t{1} << 15;
-
-/// Stable sort of `v` under `cmp`, parallelized on the global pool:
-/// fixed leaf blocks of kParallelSortGrain elements are stable-sorted
-/// concurrently, then merged pairwise in bottom-up rounds (each round's
-/// disjoint merges run in parallel). The merge tree depends only on
-/// v->size(), and std::merge is deterministic and stable, so the result
-/// is bit-identical to a serial std::stable_sort for any thread count.
-/// `max_threads` caps the threads used (0 = pool size, 1 = serial).
-template <typename T, typename Compare>
-void ParallelStableSort(std::vector<T>* v, Compare cmp,
-                        size_t max_threads = 0) {
-  const size_t n = v->size();
-  const size_t num_blocks =
-      parallel_internal::BlockCount(0, n, kParallelSortGrain);
-  if (num_blocks <= 1) {
-    std::stable_sort(v->begin(), v->end(), cmp);
-    return;
-  }
-  ParallelFor(
-      0, num_blocks, /*grain=*/1,
-      [&](size_t block) {
-        const parallel_internal::BlockRange r =
-            parallel_internal::BlockAt(0, n, kParallelSortGrain, block);
-        std::stable_sort(v->begin() + static_cast<ptrdiff_t>(r.begin),
-                         v->begin() + static_cast<ptrdiff_t>(r.end), cmp);
-      },
-      max_threads);
-  std::vector<T> buffer(n);
-  std::vector<T>* src = v;
-  std::vector<T>* dst = &buffer;
-  for (size_t width = kParallelSortGrain; width < n; width *= 2) {
-    const size_t num_merges = (n + 2 * width - 1) / (2 * width);
-    ParallelFor(
-        0, num_merges, /*grain=*/1,
-        [&](size_t m) {
-          const size_t lo = m * 2 * width;
-          const size_t mid = std::min(lo + width, n);
-          const size_t hi = std::min(lo + 2 * width, n);
-          std::merge(src->begin() + static_cast<ptrdiff_t>(lo),
-                     src->begin() + static_cast<ptrdiff_t>(mid),
-                     src->begin() + static_cast<ptrdiff_t>(mid),
-                     src->begin() + static_cast<ptrdiff_t>(hi),
-                     dst->begin() + static_cast<ptrdiff_t>(lo), cmp);
-        },
-        max_threads);
-    std::swap(src, dst);
-  }
-  if (src != v) *v = std::move(*src);
 }
 
 }  // namespace hta

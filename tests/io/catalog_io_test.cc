@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <set>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -31,9 +32,14 @@ class CatalogIoTest : public ::testing::Test {
   }
 
   Catalog catalog_;
-  std::string catalog_path_ = ::testing::TempDir() + "/hta_catalog.csv";
-  std::string workers_path_ = ::testing::TempDir() + "/hta_workers.csv";
-  std::string assignment_path_ = ::testing::TempDir() + "/hta_assign.csv";
+  // Per-test file names: ctest runs each test as its own process, so
+  // tests of this fixture run concurrently and must not share files.
+  const std::string prefix_ =
+      ::testing::TempDir() + "/hta_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name();
+  std::string catalog_path_ = prefix_ + "_catalog.csv";
+  std::string workers_path_ = prefix_ + "_workers.csv";
+  std::string assignment_path_ = prefix_ + "_assign.csv";
 };
 
 TEST_F(CatalogIoTest, CatalogRoundTrip) {

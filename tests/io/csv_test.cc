@@ -67,7 +67,12 @@ TEST(FormatCsvLineTest, RoundTripsThroughParse) {
 class CsvFileTest : public ::testing::Test {
  protected:
   void TearDown() override { std::remove(path_.c_str()); }
-  std::string path_ = ::testing::TempDir() + "/hta_csv_test.csv";
+  // Per-test file name: ctest runs the tests of this fixture as
+  // concurrent processes.
+  std::string path_ =
+      ::testing::TempDir() + "/hta_csv_test_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+      ".csv";
 };
 
 TEST_F(CsvFileTest, WriteAndReadBack) {

@@ -180,47 +180,6 @@ TEST(ParallelReduceTest, BitIdenticalAcrossThreadCaps) {
   EXPECT_EQ(serial, reduce_with(3));
 }
 
-TEST(ParallelStableSortTest, MatchesSerialStableSortAtAllSizes) {
-  Rng rng(77);
-  // Sizes straddling the leaf-block grain: empty, tiny, one block,
-  // just over one block, and several blocks with a ragged tail.
-  for (const size_t n : {size_t{0}, size_t{5}, kParallelSortGrain,
-                         kParallelSortGrain + 1, 5 * kParallelSortGrain + 17}) {
-    std::vector<int> data(n);
-    for (int& v : data) v = static_cast<int>(rng.NextBounded(1000));
-    std::vector<int> expected = data;
-    std::stable_sort(expected.begin(), expected.end());
-    for (const size_t cap : {size_t{1}, size_t{0}, size_t{3}}) {
-      std::vector<int> sorted = data;
-      ParallelStableSort(&sorted, std::less<int>(), cap);
-      ASSERT_EQ(sorted, expected) << "n=" << n << " cap=" << cap;
-    }
-  }
-}
-
-TEST(ParallelStableSortTest, PreservesOrderOfEqualKeys) {
-  // Stability: pairs with equal keys must keep their input order, even
-  // when the key spans multiple leaf blocks.
-  const size_t n = 3 * kParallelSortGrain + 101;
-  Rng rng(9);
-  std::vector<std::pair<int, size_t>> data(n);
-  for (size_t i = 0; i < n; ++i) {
-    data[i] = {static_cast<int>(rng.NextBounded(7)), i};
-  }
-  auto by_key = [](const std::pair<int, size_t>& a,
-                   const std::pair<int, size_t>& b) {
-    return a.first < b.first;
-  };
-  std::vector<std::pair<int, size_t>> sorted = data;
-  ParallelStableSort(&sorted, by_key);
-  for (size_t i = 1; i < sorted.size(); ++i) {
-    ASSERT_LE(sorted[i - 1].first, sorted[i].first);
-    if (sorted[i - 1].first == sorted[i].first) {
-      ASSERT_LT(sorted[i - 1].second, sorted[i].second) << "at " << i;
-    }
-  }
-}
-
 TEST(ThreadPoolTest, ThreadCountMatchesConstruction) {
   ThreadPool serial(1);
   EXPECT_EQ(serial.thread_count(), 1u);
