@@ -1,5 +1,6 @@
 // A12 — Ablation: batched SoA distance kernels (core/packed_set.h) vs
-// the per-pair scalar VectorDistance path, for every DistanceKind, over
+// bench-local per-pair PairwiseTaskDiversity loops (the scalar
+// reference the kernels replicate), for every DistanceKind, over
 // the three hot sweep shapes behind the Fig. 2 scaling runs:
 //   all_pairs   — the triangular precomputed-cache fill
 //                 (TaskDistanceOracle::Precomputed);
@@ -16,8 +17,54 @@
 #include "core/distance_oracle.h"
 #include "core/packed_set.h"
 #include "matching/max_weight_matching.h"
+#include "util/parallel.h"
 #include "util/table.h"
 #include "util/timer.h"
+
+namespace hta {
+namespace {
+
+// Scalar triangle: the precomputed cache's row-major strict upper
+// triangle, one PairwiseTaskDiversity call per pair, parallelized over
+// row blocks like the batched fill.
+std::vector<float> ScalarTriangle(const std::vector<Task>& tasks,
+                                  DistanceKind kind, size_t max_threads) {
+  const size_t n = tasks.size();
+  std::vector<float> tri(n * (n - 1) / 2);
+  ParallelFor(
+      0, n, /*grain=*/16,
+      [&](size_t row_begin, size_t row_end) {
+        for (size_t i = row_begin; i < row_end; ++i) {
+          size_t at = i * n - i * (i + 1) / 2;
+          for (size_t j = i + 1; j < n; ++j) {
+            tri[at++] = static_cast<float>(
+                PairwiseTaskDiversity(kind, tasks[i], tasks[j]));
+          }
+        }
+      },
+      max_threads);
+  return tri;
+}
+
+// Scalar edges: the positive-weight pairs in row-major order.
+std::vector<WeightedEdge> ScalarEdges(const std::vector<Task>& tasks,
+                                      DistanceKind kind) {
+  std::vector<WeightedEdge> edges;
+  for (size_t i = 0; i < tasks.size(); ++i) {
+    for (size_t j = i + 1; j < tasks.size(); ++j) {
+      const float w = static_cast<float>(
+          PairwiseTaskDiversity(kind, tasks[i], tasks[j]));
+      if (w > 0.0f) {
+        edges.push_back(WeightedEdge{static_cast<VertexId>(i),
+                                     static_cast<VertexId>(j), w});
+      }
+    }
+  }
+  return edges;
+}
+
+}  // namespace
+}  // namespace hta
 
 int main() {
   using namespace hta;
@@ -74,32 +121,28 @@ int main() {
   for (const size_t n : sizes) {
     const auto workload = bench::MakeOfflineWorkload(n / 20, 20, n / 40);
     const std::vector<Task>& tasks = workload.catalog.tasks;
-    const TaskDistanceOracle* oracle = nullptr;
 
     for (const DistanceKind kind : kinds) {
       const TaskDistanceOracle on_the_fly(&tasks, kind);
-      oracle = &on_the_fly;
 
       // --- all_pairs: triangular precomputed-cache fill, serial and
       // pool-parallel (the fill partitions deterministically, so the
       // caches are identical).
       for (const size_t max_threads : {size_t{1}, size_t{0}}) {
         WallTimer timer;
-        auto scalar = TaskDistanceOracle::Precomputed(
-            &tasks, kind, size_t{4} << 30, max_threads,
-            DistanceBackend::kScalar);
+        const std::vector<float> scalar =
+            ScalarTriangle(tasks, kind, max_threads);
         const double scalar_ms = timer.ElapsedMillis();
-        HTA_CHECK(scalar.ok()) << scalar.status();
         timer.Restart();
         auto batched = TaskDistanceOracle::Precomputed(
-            &tasks, kind, size_t{4} << 30, max_threads,
-            DistanceBackend::kBatched);
+            &tasks, kind, size_t{4} << 30, max_threads);
         const double batched_ms = timer.ElapsedMillis();
         HTA_CHECK(batched.ok()) << batched.status();
-        for (size_t i = 0; i < tasks.size(); i += 97) {
-          for (size_t j = i + 1; j < tasks.size(); j += 101) {
-            HTA_CHECK((*scalar)(static_cast<TaskIndex>(i),
-                                static_cast<TaskIndex>(j)) ==
+        const size_t n_tasks = tasks.size();
+        for (size_t i = 0; i < n_tasks; i += 97) {
+          for (size_t j = i + 1; j < n_tasks; j += 101) {
+            const size_t at = i * n_tasks - i * (i + 1) / 2 + (j - i - 1);
+            HTA_CHECK(static_cast<double>(scalar[at]) ==
                       (*batched)(static_cast<TaskIndex>(i),
                                  static_cast<TaskIndex>(j)))
                 << "cache mismatch at (" << i << ", " << j << ")";
@@ -108,16 +151,15 @@ int main() {
         record(n, kind, "all_pairs", max_threads, scalar_ms, batched_ms);
       }
 
-      // --- edges: fused positive-weight emission vs per-pair oracle
+      // --- edges: fused positive-weight emission vs per-pair scalar
       // calls, single-thread (the acceptance configuration).
       if (n <= kEdgeSweepCap) {
         WallTimer timer;
-        const std::vector<WeightedEdge> scalar_edges = BuildDiversityEdges(
-            *oracle, /*max_threads=*/1, DistanceBackend::kScalar);
+        const std::vector<WeightedEdge> scalar_edges = ScalarEdges(tasks, kind);
         const double scalar_ms = timer.ElapsedMillis();
         timer.Restart();
-        const std::vector<WeightedEdge> batched_edges = BuildDiversityEdges(
-            *oracle, /*max_threads=*/1, DistanceBackend::kBatched);
+        const std::vector<WeightedEdge> batched_edges =
+            BuildDiversityEdges(on_the_fly, /*max_threads=*/1);
         const double batched_ms = timer.ElapsedMillis();
         HTA_CHECK(scalar_edges.size() == batched_edges.size());
         for (size_t e = 0; e < scalar_edges.size(); ++e) {

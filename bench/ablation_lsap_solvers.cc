@@ -40,10 +40,12 @@ int main() {
     const QapView view(&*problem);
 
     // Build the same auxiliary profit HTA uses (Algorithm 1, Line 10).
-    const GraphMatching mb = GreedyMatchingOnTaskGraph(problem->oracle());
+    const TaskDistanceOracle& oracle = problem->oracle();
+    const GraphMatching mb = GreedyMaxWeightMatching(
+        oracle.task_count(), BuildDiversityEdges(oracle));
     std::vector<double> bm(view.n(), 0.0);
     for (const auto& [u, v] : mb.edges) {
-      bm[u] = bm[v] = problem->oracle()(u, v);
+      bm[u] = bm[v] = oracle(u, v);
     }
     auto profit = [&](size_t k, size_t l) {
       return bm[k] * view.DegA(l) + view.C(k, l);

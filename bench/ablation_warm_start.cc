@@ -68,7 +68,6 @@ DriveStats Drive(const hta::Catalog& catalog,
   options.refresh_after_completions = refresh;
   options.max_tasks_per_iteration = config.sample_cap;
   options.seed = config.seed;
-  options.warm_cache = true;
   options.warm_start = warm_start;
 
   AssignmentService service(&catalog.tasks, options);
@@ -133,7 +132,6 @@ int main() {
   // both arms onto one path.
   setenv("HTA_AUDIT", "1", /*overwrite=*/0);
   unsetenv("HTA_WARM_START");
-  unsetenv("HTA_WARM_CACHE");  // warm_start requires the warm caches.
   bench::PrintBanner(
       "ablation: cross-iteration warm-start solve path",
       "online service under churn (Section V-C setup, warm-start extension)");

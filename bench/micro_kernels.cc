@@ -74,7 +74,8 @@ void BM_GreedyMatching(benchmark::State& state) {
   const Catalog catalog = MakeCatalog(n);
   const TaskDistanceOracle oracle(&catalog.tasks, DistanceKind::kJaccard);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(GreedyMatchingOnTaskGraph(oracle));
+    benchmark::DoNotOptimize(GreedyMaxWeightMatching(
+        oracle.task_count(), BuildDiversityEdges(oracle)));
   }
 }
 BENCHMARK(BM_GreedyMatching)->Arg(100)->Arg(200)->Arg(400);

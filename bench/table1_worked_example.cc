@@ -77,15 +77,17 @@ int main() {
   print_matrix("C", [&](size_t k, size_t l) { return view.C(k, l); });
 
   // Example 3: M_B and the auxiliary profits.
-  const GraphMatching mb = GreedyMatchingOnTaskGraph(problem->oracle());
+  const TaskDistanceOracle& oracle = problem->oracle();
+  const GraphMatching mb =
+      GreedyMaxWeightMatching(oracle.task_count(), BuildDiversityEdges(oracle));
   std::cout << "\n--- Example 3: greedy matching M_B ---\n";
   for (const auto& [u, v] : mb.edges) {
     std::cout << "  (t" << u + 1 << ", t" << v + 1
-              << ")  d = " << FmtDouble(problem->oracle()(u, v), 2) << "\n";
+              << ")  d = " << FmtDouble(oracle(u, v), 2) << "\n";
   }
   std::vector<double> bm(8, 0.0);
   for (const auto& [u, v] : mb.edges) {
-    bm[u] = bm[v] = problem->oracle()(u, v);
+    bm[u] = bm[v] = oracle(u, v);
   }
   const double f11 = bm[0] * view.DegA(0) + view.C(0, 0);
   std::cout << "  f_{1,1} = bM(t1) * degA_1 + c_{1,1} = " << FmtDouble(f11, 3)

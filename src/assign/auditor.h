@@ -50,8 +50,8 @@ class AssignmentAuditor {
   Status CheckStructure(const Assignment& assignment) const;
 
   /// Recomputes the Eq. 3 objective from scratch — per-bundle
-  /// Motivation(), the same naive reference path the retained
-  /// NaiveEvaluator deltas are derived from — and checks that
+  /// Motivation(), the same naive reference path NaiveReplaceDelta /
+  /// NaiveInsertDelta are derived from — and checks that
   /// `claimed_objective` (an incrementally maintained value such as
   /// initial + Σ applied deltas, or a BundleStatsCache-derived total)
   /// agrees within kObjectiveTolerance. Divergence, including NaN,

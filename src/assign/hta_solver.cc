@@ -16,37 +16,18 @@ namespace hta {
 namespace {
 
 /// The auxiliary LSAP profit f_{k,l} = bM(t_k) * degA_l + c_{k,l}
-/// (Algorithm 1, Line 10), evaluated on the fly. O(1) space — this is
-/// the right profit oracle for the greedy LSAP, which touches each
-/// entry once.
-class AuxiliaryProfit {
- public:
-  AuxiliaryProfit(const QapView* view, const std::vector<double>* bm)
-      : view_(view), bm_(bm) {}
-
-  double operator()(size_t k, size_t l) const {
-    return (*bm_)[k] * view_->DegA(l) + view_->C(k, l);
-  }
-
- private:
-  const QapView* view_;
-  const std::vector<double>* bm_;
-};
-
-/// The same profit backed by precomputed per-worker tables. Both
-/// degA_l and c_{k,l} depend on the column l only through the worker
-/// clique q = l / Xmax, so an n x |W| relevance-profit table plus a
-/// |W| degree table replace the per-call Relevance() evaluation that
-/// the O(n^3) JV solver would otherwise repeat on every one of its
-/// O(n^3) profit probes. Table construction is row-parallel; entries
-/// are computed with exactly the arithmetic of QapView::C / DegA, so
-/// profits (and hence the LSAP result) are bit-identical to the
-/// on-the-fly oracle's.
+/// (Algorithm 1, Line 10), backed by per-worker tables. Both degA_l and
+/// c_{k,l} depend on the column l only through the worker clique
+/// q = l / Xmax, so an n x |W| relevance-profit table plus a |W| degree
+/// table replace the per-probe Relevance() evaluation that the LSAP
+/// solvers would otherwise repeat (O(n^3) probes for JV). The table
+/// comes from one batched rectangular relevance sweep; its entries use
+/// exactly the arithmetic of QapView::C / DegA, so profits are
+/// bit-identical to evaluating the view entry by entry.
 class TabulatedAuxiliaryProfit {
  public:
   TabulatedAuxiliaryProfit(const QapView& view, const std::vector<double>* bm,
-                           size_t max_threads,
-                           DistanceBackend backend = DistanceBackend::kBatched)
+                           size_t max_threads)
       : bm_(bm),
         xmax_(view.problem().xmax()),
         task_count_(view.task_count()),
@@ -55,32 +36,20 @@ class TabulatedAuxiliaryProfit {
     for (size_t q = 0; q < worker_count_; ++q) {
       deg_a_[q] = view.DegA(q * xmax_);
     }
+    // c_{k, q*xmax} = beta_q * rel(k, q) * (xmax - 1), with the same
+    // left-to-right multiplication chain as QapView::C.
+    const HtaProblem& problem = view.problem();
+    std::vector<double> rel;
+    problem.FillRelevanceTable(&rel, max_threads);
+    const double norm = static_cast<double>(xmax_) - 1.0;
     c_table_.resize(task_count_ * worker_count_);
-    if (backend == DistanceBackend::kBatched) {
-      // c_{k, q*xmax} = beta_q * rel(k, q) * (xmax - 1): one batched
-      // rectangular relevance sweep, then the same left-to-right
-      // multiplication chain as QapView::C — bit-identical entries.
-      const HtaProblem& problem = view.problem();
-      std::vector<double> rel;
-      problem.FillRelevanceTable(&rel, max_threads, backend);
-      const double norm = static_cast<double>(xmax_) - 1.0;
-      ParallelFor(
-          0, task_count_, /*grain=*/64,
-          [&](size_t k) {
-            for (size_t q = 0; q < worker_count_; ++q) {
-              c_table_[k * worker_count_ + q] =
-                  problem.workers()[q].weights().beta *
-                  rel[k * worker_count_ + q] * norm;
-            }
-          },
-          max_threads);
-      return;
-    }
     ParallelFor(
         0, task_count_, /*grain=*/64,
         [&](size_t k) {
           for (size_t q = 0; q < worker_count_; ++q) {
-            c_table_[k * worker_count_ + q] = view.C(k, q * xmax_);
+            c_table_[k * worker_count_ + q] =
+                problem.workers()[q].weights().beta *
+                rel[k * worker_count_ + q] * norm;
           }
         },
         max_threads);
@@ -207,7 +176,7 @@ Result<HtaSolveResult> SolveHta(const HtaProblem& problem,
   {
     trace::PhaseSpan matching_span("solver.matching", &matching_latency);
     std::vector<WeightedEdge> edges =
-        BuildDiversityEdges(problem.oracle(), options.threads, options.backend);
+        BuildDiversityEdges(problem.oracle(), options.threads);
     switch (options.matching) {
       case MatchingMethod::kGreedy:
         mb = GreedyMaxWeightMatching(n, std::move(edges), options.threads);
@@ -230,40 +199,23 @@ Result<HtaSolveResult> SolveHta(const HtaProblem& problem,
     bm[v] = w;
   }
 
-  // Lines 9-11: the auxiliary LSAP. The exact solvers probe the same
-  // profit entries many times, so they get the tabulated oracle (built
-  // row-parallel); the greedy solver scans each entry once and keeps
-  // the O(1)-space on-the-fly oracle.
+  // Lines 9-11: the auxiliary LSAP over the tabulated profits (built
+  // row-parallel from one batched relevance sweep).
   phase_timer.Restart();
   LsapSolution lsap;
   {
     trace::PhaseSpan lsap_span("solver.lsap", &lsap_latency);
+    const TabulatedAuxiliaryProfit profit(view, &bm, options.threads);
     switch (options.lsap) {
-      case LsapMethod::kExactJv: {
-        const TabulatedAuxiliaryProfit profit(view, &bm, options.threads,
-                                              options.backend);
+      case LsapMethod::kExactJv:
         lsap = SolveLsapJv(n, profit);
         break;
-      }
       case LsapMethod::kGreedy: {
         const std::vector<size_t> worker_cols = view.WorkerColumns();
-        if (options.backend == DistanceBackend::kBatched) {
-          // Even the single-scan greedy solve wins from tabulation when
-          // the table comes from one batched rectangular sweep instead
-          // of a scalar Relevance() per probed entry; profits stay
-          // bit-identical to the on-the-fly oracle's.
-          const TabulatedAuxiliaryProfit profit(view, &bm, options.threads,
-                                                options.backend);
-          lsap = SolveLsapGreedy(n, profit, &worker_cols);
-        } else {
-          const AuxiliaryProfit profit(&view, &bm);
-          lsap = SolveLsapGreedy(n, profit, &worker_cols);
-        }
+        lsap = SolveLsapGreedy(n, profit, &worker_cols);
         break;
       }
       case LsapMethod::kExactStructured: {
-        const TabulatedAuxiliaryProfit profit(view, &bm, options.threads,
-                                              options.backend);
         const std::vector<size_t> worker_cols = view.WorkerColumns();
         lsap = SolveLsapStructured(n, profit, worker_cols);
         break;

@@ -54,11 +54,6 @@ struct HtaSolverOptions {
   /// deterministically, so every value produces bit-identical
   /// assignments, objectives, and certified ratios.
   size_t threads = 0;
-  /// Distance-kernel backend for the O(|T|²) / O(|T|·|W|) sweeps
-  /// (diversity edges, tabulated LSAP profits): the batched SoA kernels
-  /// of core/packed_set.h (default) or the per-pair scalar reference
-  /// path. Both produce bit-identical assignments and stats.
-  DistanceBackend backend = DistanceBackend::kBatched;
 };
 
 /// Phase timings and objective diagnostics for one solve — these feed

@@ -33,17 +33,17 @@ LocalSearchMetrics& Lsm() {
   return *m;
 }
 
-/// Strict improvement threshold shared by every scan mode.
+/// Strict improvement threshold shared by every scan.
 constexpr double kImprovementEps = 1e-12;
 
 /// Relative margin for argmax scans: a later candidate only displaces
 /// the incumbent when its delta is better by this margin. Exact-
 /// arithmetic ties between candidates (common with rational Jaccard /
 /// Dice distances) can round to FP values that differ by a few ulps
-/// between the incremental tables and a from-scratch evaluation; the
-/// margin makes both evaluators resolve such ties to the same (lowest)
-/// scan index, so the incremental search reproduces the naive
-/// reference move-for-move.
+/// between the incremental tables and a from-scratch evaluation
+/// (NaiveReplaceDelta / NaiveInsertDelta); the margin resolves such
+/// ties to the same (lowest) scan index either way, so the incremental
+/// search reproduces a naive-delta scan move-for-move.
 constexpr double kTieRelTolerance = 1e-9;
 
 /// Tolerant "strictly better" used by every best-candidate selection.
@@ -55,10 +55,10 @@ inline bool StrictlyBetter(double delta, double best) {
 /// Sentinel candidate index for "no improving candidate found".
 constexpr size_t kNoCandidate = static_cast<size_t>(-1);
 
-/// Unassigned candidates per fixed block of a deterministic scan.
+/// Unassigned candidates per fixed block of a scan.
 constexpr size_t kCandidateGrain = 128;
 
-/// Partner workers per fixed block of a deterministic exchange scan.
+/// Partner workers per fixed block of an exchange scan.
 constexpr size_t kWorkerScanGrain = 2;
 
 /// Tasks per fixed block of the incremental div_sum table updates.
@@ -79,88 +79,12 @@ struct BestExchange {
   size_t p2 = kNoCandidate;
 };
 
-/// Move evaluator backed by the retained naive reference deltas: every
-/// probe recomputes from the bundles, so Apply* only mutate the
-/// assignment. Interface-compatible with BundleStatsCache for the
-/// templated scan drivers.
-class NaiveEvaluator {
- public:
-  NaiveEvaluator(const HtaProblem* problem, Assignment* assignment)
-      : problem_(problem), assignment_(assignment) {}
-
-  double ReplaceDelta(WorkerIndex worker, size_t pos, TaskIndex in) const {
-    return NaiveReplaceDelta(*problem_, assignment_->bundles[worker], pos, in,
-                             worker);
-  }
-
-  double ExchangeDelta(WorkerIndex q1, size_t p1, WorkerIndex q2,
-                       size_t p2) const {
-    const TaskBundle& b1 = assignment_->bundles[q1];
-    const TaskBundle& b2 = assignment_->bundles[q2];
-    return NaiveReplaceDelta(*problem_, b1, p1, b2[p2], q1) +
-           NaiveReplaceDelta(*problem_, b2, p2, b1[p1], q2);
-  }
-
-  double InsertDelta(WorkerIndex worker, TaskIndex in) const {
-    return NaiveInsertDelta(*problem_, assignment_->bundles[worker], in,
-                            worker);
-  }
-
-  void ApplyReplace(WorkerIndex worker, size_t pos, TaskIndex in) {
-    assignment_->bundles[worker][pos] = in;
-  }
-
-  void ApplyInsert(WorkerIndex worker, TaskIndex in) {
-    assignment_->bundles[worker].push_back(in);
-  }
-
-  /// The naive evaluator has no incremental tables; its "cached"
-  /// objective is the from-scratch recompute, so the per-pass audit
-  /// degenerates to checking the applied-delta accumulator.
-  double CachedTotalMotivation() const {
-    return TotalMotivation(*problem_, *assignment_);
-  }
-
- private:
-  const HtaProblem* problem_;
-  Assignment* assignment_;
-};
-
-/// Legacy first-improvement replace scan: apply every improving
-/// candidate immediately and keep scanning from the mutated state.
-template <typename Eval>
-bool ReplacePassLegacy(const HtaProblem& problem, Assignment* assignment,
-                       std::vector<TaskIndex>* unassigned, Eval* eval,
-                       LocalSearchResult* result) {
-  bool improved = false;
-  const size_t worker_count = problem.worker_count();
-  for (WorkerIndex q = 0; q < worker_count; ++q) {
-    TaskBundle& bundle = assignment->bundles[q];
-    for (size_t pos = 0; pos < bundle.size(); ++pos) {
-      Lsm().replace_probes.Add(unassigned->size());
-      for (size_t u = 0; u < unassigned->size(); ++u) {
-        const double delta = eval->ReplaceDelta(q, pos, (*unassigned)[u]);
-        if (delta > kImprovementEps) {
-          const TaskIndex out = bundle[pos];
-          eval->ApplyReplace(q, pos, (*unassigned)[u]);
-          (*unassigned)[u] = out;
-          result->applied_delta += delta;
-          ++result->improving_moves;
-          improved = true;
-        }
-      }
-    }
-  }
-  return improved;
-}
-
 /// Deterministic replace scan: probe all candidates for one slot
 /// concurrently, apply the best improving one, move to the next slot.
-template <typename Eval>
 bool ReplacePassBest(const HtaProblem& problem,
                      const LocalSearchOptions& options, Assignment* assignment,
-                     std::vector<TaskIndex>* unassigned, Eval* eval,
-                     LocalSearchResult* result) {
+                     std::vector<TaskIndex>* unassigned,
+                     BundleStatsCache* eval, LocalSearchResult* result) {
   if (unassigned->empty()) return false;
   bool improved = false;
   const size_t worker_count = problem.worker_count();
@@ -196,44 +120,12 @@ bool ReplacePassBest(const HtaProblem& problem,
   return improved;
 }
 
-/// Legacy first-improvement exchange scan.
-template <typename Eval>
-bool ExchangePassLegacy(const HtaProblem& problem, Assignment* assignment,
-                        Eval* eval, LocalSearchResult* result) {
-  bool improved = false;
-  const size_t worker_count = problem.worker_count();
-  for (WorkerIndex q1 = 0; q1 < worker_count; ++q1) {
-    for (WorkerIndex q2 = static_cast<WorkerIndex>(q1 + 1); q2 < worker_count;
-         ++q2) {
-      TaskBundle& b1 = assignment->bundles[q1];
-      TaskBundle& b2 = assignment->bundles[q2];
-      Lsm().exchange_probes.Add(b1.size() * b2.size());
-      for (size_t p1 = 0; p1 < b1.size(); ++p1) {
-        for (size_t p2 = 0; p2 < b2.size(); ++p2) {
-          const double delta = eval->ExchangeDelta(q1, p1, q2, p2);
-          if (delta > kImprovementEps) {
-            const TaskIndex t1 = b1[p1];
-            const TaskIndex t2 = b2[p2];
-            eval->ApplyReplace(q1, p1, t2);
-            eval->ApplyReplace(q2, p2, t1);
-            result->applied_delta += delta;
-            ++result->improving_moves;
-            improved = true;
-          }
-        }
-      }
-    }
-  }
-  return improved;
-}
-
 /// Deterministic exchange scan: for each source slot, probe every
 /// partner slot of every later worker concurrently and apply the best
 /// improving swap.
-template <typename Eval>
 bool ExchangePassBest(const HtaProblem& problem,
                       const LocalSearchOptions& options, Assignment* assignment,
-                      Eval* eval, LocalSearchResult* result) {
+                      BundleStatsCache* eval, LocalSearchResult* result) {
   bool improved = false;
   const size_t worker_count = problem.worker_count();
   for (WorkerIndex q1 = 0; q1 + 1 < worker_count; ++q1) {
@@ -277,66 +169,46 @@ bool ExchangePassBest(const HtaProblem& problem,
   return improved;
 }
 
-/// Insert scan. Selection is identical in both scan modes (greedy
-/// best-candidate with lowest-index ties, exactly the legacy argmax);
-/// the deterministic mode merely probes candidates concurrently.
-/// With non-negative diversity and relevance an insert never hurts
-/// (delta >= 0), so spare capacity is always filled; only strictly
-/// positive deltas count as improving moves.
-template <typename Eval>
+/// Insert scan: greedy best-candidate with lowest-index ties, probing
+/// candidates concurrently. With non-negative diversity and relevance
+/// an insert never hurts (delta >= 0), so spare capacity is always
+/// filled; only strictly positive deltas count as improving moves.
 bool InsertPass(const HtaProblem& problem, const LocalSearchOptions& options,
                 Assignment* assignment, std::vector<TaskIndex>* unassigned,
-                Eval* eval, LocalSearchResult* result) {
-  const bool parallel_scan =
-      options.scan == LocalSearchScan::kDeterministicBest;
+                BundleStatsCache* eval, LocalSearchResult* result) {
+  struct InsertBest {
+    double delta = -1.0;
+    size_t index = kNoCandidate;
+  };
   bool improved = false;
   const size_t worker_count = problem.worker_count();
   for (WorkerIndex q = 0; q < worker_count; ++q) {
     TaskBundle& bundle = assignment->bundles[q];
     while (bundle.size() < problem.xmax() && !unassigned->empty()) {
-      double best_delta = -1.0;
-      size_t best_u = kNoCandidate;
-      if (parallel_scan) {
-        struct InsertBest {
-          double delta = -1.0;
-          size_t index = kNoCandidate;
-        };
-        const InsertBest best = ParallelReduce<InsertBest>(
-            0, unassigned->size(), kCandidateGrain, InsertBest{},
-            [&](size_t begin, size_t end) {
-              Lsm().insert_probes.Add(end - begin);
-              InsertBest local;
-              for (size_t u = begin; u < end; ++u) {
-                const double delta = eval->InsertDelta(q, (*unassigned)[u]);
-                if (StrictlyBetter(delta, local.delta)) {
-                  local = InsertBest{delta, u};
-                }
+      const InsertBest best = ParallelReduce<InsertBest>(
+          0, unassigned->size(), kCandidateGrain, InsertBest{},
+          [&](size_t begin, size_t end) {
+            Lsm().insert_probes.Add(end - begin);
+            InsertBest local;
+            for (size_t u = begin; u < end; ++u) {
+              const double delta = eval->InsertDelta(q, (*unassigned)[u]);
+              if (StrictlyBetter(delta, local.delta)) {
+                local = InsertBest{delta, u};
               }
-              return local;
-            },
-            [](InsertBest acc, InsertBest partial) {
-              return StrictlyBetter(partial.delta, acc.delta) ? partial : acc;
-            },
-            options.threads);
-        best_delta = best.delta;
-        best_u = best.index;
-      } else {
-        Lsm().insert_probes.Add(unassigned->size());
-        for (size_t u = 0; u < unassigned->size(); ++u) {
-          const double delta = eval->InsertDelta(q, (*unassigned)[u]);
-          if (StrictlyBetter(delta, best_delta)) {
-            best_delta = delta;
-            best_u = u;
-          }
-        }
-      }
-      if (best_u == kNoCandidate || best_delta < 0.0) break;
-      eval->ApplyInsert(q, (*unassigned)[best_u]);
-      (*unassigned)[best_u] = unassigned->back();
+            }
+            return local;
+          },
+          [](InsertBest acc, InsertBest partial) {
+            return StrictlyBetter(partial.delta, acc.delta) ? partial : acc;
+          },
+          options.threads);
+      if (best.index == kNoCandidate || best.delta < 0.0) break;
+      eval->ApplyInsert(q, (*unassigned)[best.index]);
+      (*unassigned)[best.index] = unassigned->back();
       unassigned->pop_back();
-      result->applied_delta += best_delta;
+      result->applied_delta += best.delta;
       ++result->inserts_applied;
-      if (best_delta > kImprovementEps) {
+      if (best.delta > kImprovementEps) {
         ++result->improving_moves;
         improved = true;
       }
@@ -345,35 +217,25 @@ bool InsertPass(const HtaProblem& problem, const LocalSearchOptions& options,
   return improved;
 }
 
-/// The pass loop shared by both evaluators and both scan modes. With
-/// `auditor` non-null, every completed pass is validated: structure
-/// (C1/C2, index bounds) plus two independent objective claims — the
-/// applied-delta accumulator and the evaluator's cached sums — against
-/// the from-scratch Eq. 3 recompute.
-template <typename Eval>
+/// The pass loop. With `auditor` non-null, every completed pass is
+/// validated: structure (C1/C2, index bounds) plus two independent
+/// objective claims — the applied-delta accumulator and the cache's
+/// maintained sums — against the from-scratch Eq. 3 recompute.
 Status RunPasses(const HtaProblem& problem, const LocalSearchOptions& options,
                  Assignment* assignment, std::vector<TaskIndex>* unassigned,
-                 Eval* eval, const AssignmentAuditor* auditor,
+                 BundleStatsCache* eval, const AssignmentAuditor* auditor,
                  LocalSearchResult* result) {
-  const bool deterministic =
-      options.scan == LocalSearchScan::kDeterministicBest;
   for (result->passes = 0; result->passes < options.max_passes;
        ++result->passes) {
     bool improved_this_pass = false;
     if (options.enable_replace) {
-      const bool improved =
-          deterministic
-              ? ReplacePassBest(problem, options, assignment, unassigned, eval,
-                                result)
-              : ReplacePassLegacy(problem, assignment, unassigned, eval,
-                                  result);
+      const bool improved = ReplacePassBest(problem, options, assignment,
+                                            unassigned, eval, result);
       improved_this_pass = improved || improved_this_pass;
     }
     if (options.enable_exchange) {
       const bool improved =
-          deterministic
-              ? ExchangePassBest(problem, options, assignment, eval, result)
-              : ExchangePassLegacy(problem, assignment, eval, result);
+          ExchangePassBest(problem, options, assignment, eval, result);
       improved_this_pass = improved || improved_this_pass;
     }
     if (options.enable_insert) {
@@ -425,15 +287,14 @@ double NaiveInsertDelta(const HtaProblem& problem, const TaskBundle& bundle,
 }
 
 BundleStatsCache::BundleStatsCache(const HtaProblem& problem,
-                                   Assignment* assignment, size_t max_threads,
-                                   DistanceBackend backend)
+                                   Assignment* assignment, size_t max_threads)
     : problem_(&problem),
       assignment_(assignment),
       max_threads_(max_threads),
       task_count_(problem.task_count()),
       worker_count_(problem.worker_count()) {
   const TaskDistanceOracle& d = problem.oracle();
-  problem.FillRelevanceTable(&rel_, max_threads_, backend);
+  problem.FillRelevanceTable(&rel_, max_threads_);
   div_sum_.assign(worker_count_ * task_count_, 0.0);
   bundle_div_.assign(worker_count_, 0.0);
   bundle_rel_.assign(worker_count_, 0.0);
@@ -566,16 +427,9 @@ Result<LocalSearchResult> ImproveAssignment(
 
   const AssignmentAuditor auditor(problem);
   const AssignmentAuditor* audit = AuditEnabled() ? &auditor : nullptr;
-  if (options.evaluation == LocalSearchEval::kIncremental) {
-    BundleStatsCache cache(problem, &result.assignment, options.threads,
-                           options.backend);
-    HTA_RETURN_IF_ERROR(RunPasses(problem, options, &result.assignment,
-                                  &unassigned, &cache, audit, &result));
-  } else {
-    NaiveEvaluator eval(&problem, &result.assignment);
-    HTA_RETURN_IF_ERROR(RunPasses(problem, options, &result.assignment,
-                                  &unassigned, &eval, audit, &result));
-  }
+  BundleStatsCache cache(problem, &result.assignment, options.threads);
+  HTA_RETURN_IF_ERROR(RunPasses(problem, options, &result.assignment,
+                                &unassigned, &cache, audit, &result));
 
   Lsm().passes.Add(result.passes);
   Lsm().moves_applied.Add(result.improving_moves);

@@ -29,7 +29,7 @@ CatalogCache::CatalogCache(const std::vector<Task>* catalog, DistanceKind kind,
   HTA_CHECK(catalog != nullptr);
   packed_ = PackedSetMatrix::FromTasks(*catalog);
   const size_t n = catalog->size();
-  if (!options.enable_distance_cache || n < 2) return;
+  if (n < 2) return;
   const size_t pairs = n * (n - 1) / 2;
   // Budget check by division: `pairs * sizeof(double)` can wrap size_t
   // for large n and then wrongly pass the comparison.

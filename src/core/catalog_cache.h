@@ -43,9 +43,9 @@ inline metrics::Counter& TriHits() {
 ///    for the lifetime of the deployment.
 ///
 /// The cache stores doubles (not the float cache of
-/// TaskDistanceOracle::Precomputed) because warm iterations must be
-/// bit-identical to the cold path, whose on-the-fly oracle returns full
-/// double distances. Every cached value is produced by
+/// TaskDistanceOracle::Precomputed) because subset-view solves must be
+/// bit-identical to solves over task copies, whose on-the-fly oracle
+/// returns full double distances. Every cached value is produced by
 /// packed_internal::DistanceFromCounts, which replicates distance.cc
 /// expression-for-expression, so a cache hit equals a fresh
 /// PairwiseTaskDiversity call bit-for-bit.
@@ -63,12 +63,10 @@ class CatalogCache {
   static constexpr size_t kTileRows = 128;
 
   struct Options {
-    /// Whether to allocate the persistent triangular distance cache at
-    /// all (the packed matrix is always built).
-    bool enable_distance_cache = true;
     /// Budget for the triangular double cache; catalogs whose strict
     /// upper triangle exceeds it fall back to computing distances from
-    /// the packed rows on every query.
+    /// the packed rows on every query (0 disables the triangle; the
+    /// packed matrix is always built).
     size_t max_distance_cache_bytes = size_t{1} << 30;
   };
 

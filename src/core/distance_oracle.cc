@@ -2,8 +2,6 @@
 
 #include <string>
 
-#include "util/parallel.h"
-
 namespace hta {
 
 TaskDistanceOracle::TaskDistanceOracle(const std::vector<Task>* tasks,
@@ -14,7 +12,7 @@ TaskDistanceOracle::TaskDistanceOracle(const std::vector<Task>* tasks,
 
 Result<TaskDistanceOracle> TaskDistanceOracle::Precomputed(
     const std::vector<Task>* tasks, DistanceKind kind, size_t max_cache_bytes,
-    size_t max_threads, DistanceBackend backend) {
+    size_t max_threads) {
   HTA_CHECK(tasks != nullptr);
   const size_t n = tasks->size();
   const size_t pairs = n * (n - 1) / 2;
@@ -28,31 +26,11 @@ Result<TaskDistanceOracle> TaskDistanceOracle::Precomputed(
   }
   TaskDistanceOracle oracle(tasks, kind);
   oracle.cache_.resize(pairs);
-  float* cache = oracle.cache_.data();
-  if (backend == DistanceBackend::kBatched) {
-    // The batched SoA sweep fills the same triangular layout with the
-    // same floats (packed_internal::DistanceFromCounts replicates the
-    // scalar arithmetic), tiled for cache residency.
-    const PackedSetMatrix packed = PackedSetMatrix::FromTasks(*tasks);
-    AllPairsDistancesUpper(packed, kind, cache, max_threads);
-    return oracle;
-  }
-  // Row i owns the disjoint cache segment [i*n - i*(i+1)/2, +n-1-i),
-  // so row blocks write without overlap and the fill is bit-identical
-  // for any thread count. Small row grain keeps the (shrinking) rows
-  // of the triangle balanced across blocks.
-  ParallelFor(
-      0, n, /*grain=*/16,
-      [&](size_t row_begin, size_t row_end) {
-        for (size_t i = row_begin; i < row_end; ++i) {
-          size_t at = i * n - i * (i + 1) / 2;
-          for (size_t j = i + 1; j < n; ++j) {
-            cache[at++] = static_cast<float>(
-                PairwiseTaskDiversity(kind, (*tasks)[i], (*tasks)[j]));
-          }
-        }
-      },
-      max_threads);
+  // The batched SoA sweep fills the triangular layout tiled for cache
+  // residency; every row writes a disjoint segment, so the cache is
+  // bit-identical for any thread count.
+  const PackedSetMatrix packed = PackedSetMatrix::FromTasks(*tasks);
+  AllPairsDistancesUpper(packed, kind, oracle.cache_.data(), max_threads);
   return oracle;
 }
 

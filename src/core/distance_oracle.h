@@ -39,13 +39,11 @@ class TaskDistanceOracle {
   /// fill runs on the global thread pool, parallelized over row
   /// blocks; `max_threads` caps the threads used (0 = pool size, 1 =
   /// serial). Every row writes a disjoint cache segment, so the cache
-  /// is bit-identical for any thread count. `backend` selects the
-  /// batched SoA sweep (default) or the per-pair scalar reference path;
-  /// both fill the cache with bit-identical floats.
+  /// is bit-identical for any thread count. The batched SoA sweep
+  /// stores the same floats as PairwiseTaskDiversity.
   static Result<TaskDistanceOracle> Precomputed(
       const std::vector<Task>* tasks, DistanceKind kind,
-      size_t max_cache_bytes = size_t{4} << 30, size_t max_threads = 0,
-      DistanceBackend backend = DistanceBackend::kBatched);
+      size_t max_cache_bytes = size_t{4} << 30, size_t max_threads = 0);
 
   /// Builds an oracle from an explicit dense row-major |T| x |T|
   /// distance matrix instead of computing distances from keywords. The

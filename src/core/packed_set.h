@@ -17,17 +17,6 @@
 
 namespace hta {
 
-/// Selects between the batched SoA distance kernels below and the
-/// per-pair scalar VectorDistance path. Both produce bit-identical
-/// results (the batched kernels replicate the scalar arithmetic exactly,
-/// see packed_internal::DistanceFromCounts); kScalar survives as the
-/// reference implementation for the equivalence suite and the
-/// scalar-vs-batched ablation bench.
-enum class DistanceBackend {
-  kBatched,
-  kScalar,
-};
-
 /// A whole collection of Boolean keyword vectors stored as a
 /// structure-of-arrays bit-matrix: one contiguous buffer of 64-bit
 /// blocks, each row padded to a multiple of kBlockPad blocks (padding

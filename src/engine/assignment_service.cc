@@ -53,34 +53,25 @@ AssignmentService::AssignmentService(const std::vector<Task>* catalog,
   HTA_CHECK(options_.worker_id_stride > 0) << "worker_id_stride must be >= 1";
   HTA_CHECK(catalog != nullptr);
   HTA_CHECK_GE(options_.xmax, size_t{1});
-  options_.warm_cache =
-      options_.warm_cache && GetEnvIntOr("HTA_WARM_CACHE", 1) != 0;
-  if (options_.warm_cache) {
-    const int64_t env_bytes = GetEnvIntOr("HTA_WARM_CACHE_BYTES", -1);
-    if (env_bytes >= 0) {
-      options_.warm_distance_cache_bytes = static_cast<size_t>(env_bytes);
-    }
-    CatalogCache::Options cache_options;
-    cache_options.max_distance_cache_bytes =
-        options_.warm_distance_cache_bytes;
-    warm_cache_ = std::make_unique<CatalogCache>(catalog, options_.metric,
-                                                 cache_options);
-    estimator_.AttachSharedCache(warm_cache_.get());
-    const int64_t rel_bytes = GetEnvIntOr("HTA_SESSION_REL_BYTES", -1);
-    if (rel_bytes >= 0) {
-      options_.session_relevance_bytes = static_cast<size_t>(rel_bytes);
-    }
-    if (options_.session_relevance_bytes > 0) {
-      session_rel_ = std::make_unique<SessionRelevanceCache>(
-          warm_cache_.get(), options_.session_relevance_bytes);
-      estimator_.AttachSessionRelevance(session_rel_.get());
-    }
+  const int64_t env_bytes = GetEnvIntOr("HTA_WARM_CACHE_BYTES", -1);
+  if (env_bytes >= 0) {
+    options_.warm_distance_cache_bytes = static_cast<size_t>(env_bytes);
   }
-  // Carry-over needs both the subset views (the instance mixes
-  // available and still-assigned tasks, so the cold task-copy path
-  // doesn't apply) and the per-session displays this service tracks.
+  CatalogCache::Options cache_options;
+  cache_options.max_distance_cache_bytes = options_.warm_distance_cache_bytes;
+  warm_cache_ =
+      std::make_unique<CatalogCache>(catalog, options_.metric, cache_options);
+  estimator_.AttachSharedCache(warm_cache_.get());
+  const int64_t rel_bytes = GetEnvIntOr("HTA_SESSION_REL_BYTES", -1);
+  if (rel_bytes >= 0) {
+    options_.session_relevance_bytes = static_cast<size_t>(rel_bytes);
+  }
+  if (options_.session_relevance_bytes > 0) {
+    session_rel_ = std::make_unique<SessionRelevanceCache>(
+        warm_cache_.get(), options_.session_relevance_bytes);
+    estimator_.AttachSessionRelevance(session_rel_.get());
+  }
   options_.warm_start =
-      options_.warm_cache &&
       GetEnvIntOr("HTA_WARM_START", options_.warm_start ? 1 : 0) != 0;
 }
 
@@ -314,9 +305,7 @@ void AssignmentService::RunIteration(const std::vector<uint64_t>& worker_ids) {
     // survivors; completed and departed tasks/workers have already
     // dropped out of the displays. No survivors at all → cold fallback.
     Assignment seed;
-    if (options_.warm_start &&
-        options_.strategy == StrategyKind::kHtaGre &&
-        warm_cache_ != nullptr) {
+    if (options_.warm_start && options_.strategy == StrategyKind::kHtaGre) {
       trace::PhaseSpan seed_span("engine.warm_seed");
       seed.bundles.resize(solve_ids.size());
       for (size_t q = 0; q < solve_ids.size(); ++q) {
@@ -340,33 +329,21 @@ void AssignmentService::RunIteration(const std::vector<uint64_t>& worker_ids) {
     // past the row budget miss, and the problem falls back to the
     // sweep.
     std::vector<double> rel_override;
-    if (warm_cache_ != nullptr && session_rel_ != nullptr) {
+    if (session_rel_ != nullptr) {
       session_rel_->GatherTable(available, solve_ids, &rel_override);
     }
 
-    // Warm path: a zero-copy view over the shared catalog cache; cold
-    // path: materialize the sampled tasks. Both produce bit-identical
-    // instances (kDice deployments rely on allow_non_metric, matching
-    // the estimator's unconditional use of the configured kind).
-    std::optional<CatalogSubsetView> view;
-    std::vector<Task> local_tasks;
-    auto make_problem = [&]() -> Result<HtaProblem> {
-      if (warm_cache_ != nullptr) {
-        view.emplace(warm_cache_.get(), std::vector<size_t>(available));
-        return HtaProblem::CreateFromSubset(&*view, &local_workers,
-                                            options_.xmax,
-                                            /*allow_non_metric=*/true,
-                                            std::move(rel_override));
-      }
-      local_tasks.reserve(available.size());
-      for (size_t idx : available) local_tasks.push_back((*catalog_)[idx]);
-      return HtaProblem::Create(&local_tasks, &local_workers, options_.xmax,
-                                options_.metric, /*allow_non_metric=*/true);
-    };
+    // The instance is a zero-copy view over the shared catalog cache
+    // (kDice deployments rely on allow_non_metric, matching the
+    // estimator's unconditional use of the configured kind).
     WallTimer setup_timer;
     std::optional<trace::PhaseSpan> setup_span;
     setup_span.emplace("engine.setup", &Em().setup_seconds);
-    auto problem = make_problem();
+    const CatalogSubsetView view(warm_cache_.get(),
+                                 std::vector<size_t>(available));
+    auto problem = HtaProblem::CreateFromSubset(
+        &view, &local_workers, options_.xmax, /*allow_non_metric=*/true,
+        std::move(rel_override));
     setup_span.reset();
     HTA_CHECK(problem.ok()) << problem.status();
     setup_seconds = setup_timer.ElapsedSeconds();

@@ -54,14 +54,13 @@ struct AssignmentServiceOptions {
   /// set, every displayed bundle and completion is recorded with the
   /// service clock, enabling offline replay via ReplayEstimates.
   EventLog* event_log = nullptr;
-  /// Warm catalog caches (default on): the service owns a CatalogCache
-  /// built once at construction — the packed catalog rows plus a
-  /// budget-gated persistent task-distance cache — and each iteration
-  /// solves over a zero-copy CatalogSubsetView instead of copying
-  /// sampled tasks into a fresh vector. Bit-identical to the cold path
-  /// at any HTA_THREADS. The HTA_WARM_CACHE environment variable
-  /// overrides (0 forces cold, anything else leaves this field as-is).
-  bool warm_cache = true;
+  /// The service owns a CatalogCache built once at construction — the
+  /// packed catalog rows plus a budget-gated persistent task-distance
+  /// cache — and each iteration solves over a zero-copy
+  /// CatalogSubsetView of it instead of copying sampled tasks. Every
+  /// budget below changes speed only: results are bit-identical at any
+  /// budget and any HTA_THREADS.
+  ///
   /// Byte budget for the persistent catalog distance cache (doubles
   /// over the strict upper triangle, lazily filled per tile). The
   /// cache pays off when pairs are re-queried — small catalogs, long
@@ -78,8 +77,8 @@ struct AssignmentServiceOptions {
   /// registration and gathered per iteration — see
   /// SessionRelevanceCache). Sessions past the budget fall back to the
   /// per-iteration rectangular sweep; results are bit-identical either
-  /// way. Only active with warm_cache. HTA_SESSION_REL_BYTES overrides
-  /// when set; 0 disables row caching entirely.
+  /// way. HTA_SESSION_REL_BYTES overrides when set; 0 disables row
+  /// caching entirely.
   size_t session_relevance_bytes = size_t{1} << 30;
   /// Cross-iteration warm start (off by default): when a due worker's
   /// previous optimized bundle still has surviving (displayed,
@@ -87,12 +86,11 @@ struct AssignmentServiceOptions {
   /// plus those survivors, and the solve skips matching/LSAP entirely —
   /// local search starts from the carried bundles, patches holes from
   /// the sample (insert pass), and refines. Applies only to the
-  /// adaptive kHtaGre strategy and requires warm_cache; iterations with
-  /// no survivors run the cold solve (counted as
-  /// engine.warm_start.cold_fallbacks). Changes assignments (objective
-  /// empirically no worse; every seed and result is auditor-checked
-  /// under HTA_AUDIT=1) — off, the deployment reproduces today's cold
-  /// behavior exactly. The HTA_WARM_START environment variable
+  /// adaptive kHtaGre strategy; iterations with no survivors run the
+  /// full solve (counted as engine.warm_start.cold_fallbacks). Changes
+  /// assignments (objective empirically no worse; every seed and result
+  /// is auditor-checked under HTA_AUDIT=1) — off, every iteration runs
+  /// the full solve. The HTA_WARM_START environment variable
   /// overrides in both directions.
   bool warm_start = false;
   /// Thread cap handed to every strategy solve (0 = full HTA_THREADS
@@ -114,10 +112,9 @@ struct IterationRecord {
   size_t worker_count = 0;   ///< Workers (re)assigned in this iteration.
   size_t task_count = 0;     ///< Tasks offered to the solver.
   double solve_seconds = 0.0;
-  /// Problem-construction time within solve_seconds: materializing the
-  /// solver instance (task copies on the cold path; the zero-copy
-  /// subset-view remap on the warm path). Availability sampling is
-  /// excluded — it is identical in both modes.
+  /// Problem-construction time within solve_seconds: building the
+  /// solver instance's zero-copy subset view (and its relevance
+  /// override). Availability sampling is excluded.
   double setup_seconds = 0.0;
   double motivation = 0.0;   ///< Objective value of the solved instance.
   /// Warm-start diagnostics: whether this iteration's solve was seeded
@@ -175,12 +172,11 @@ class AssignmentService {
   const TaskPool& pool() const { return pool_; }
   const AssignmentServiceOptions& options() const { return options_; }
 
-  /// The warm catalog cache, or nullptr when running cold (options or
-  /// HTA_WARM_CACHE=0 disabled it).
+  /// The service's catalog cache. Never null.
   const CatalogCache* warm_cache() const { return warm_cache_.get(); }
 
-  /// The persistent per-session relevance rows, or nullptr when running
-  /// cold or with a zero row budget.
+  /// The persistent per-session relevance rows, or nullptr with a zero
+  /// row budget.
   const SessionRelevanceCache* session_relevance() const {
     return session_rel_.get();
   }
@@ -228,12 +224,10 @@ class AssignmentService {
   MotivationEstimator estimator_;
   Rng rng_;
   /// Warm per-catalog caches (packed rows + lazy distance triangle),
-  /// built once per service and shared by every iteration. Null when
-  /// the service runs cold.
+  /// built once per service and shared by every iteration.
   std::unique_ptr<CatalogCache> warm_cache_;
   /// Persistent per-session relevance rows (computed at registration,
-  /// gathered per iteration). Null when running cold or when the row
-  /// budget is zero.
+  /// gathered per iteration). Null when the row budget is zero.
   std::unique_ptr<SessionRelevanceCache> session_rel_;
   /// Scratch for the per-iteration instance task list (the sampled or
   /// full available set, plus carried survivors under warm start) —

@@ -26,9 +26,9 @@ namespace hta {
 ///
 /// Every stored value comes from the same DistanceFromCounts arithmetic
 /// as a fresh RectangularRelevance sweep (and as scalar TaskRelevance),
-/// so gathered tables are bit-identical to the cold path at any thread
-/// cap — the engine's warm/cold equivalence guarantee extends through
-/// this cache unchanged.
+/// so gathered tables are bit-identical to a per-iteration sweep at any
+/// thread cap — a deployment with a zero row budget reproduces one with
+/// rows cached.
 ///
 /// Rows cost catalog_size * sizeof(double) bytes each; a byte budget
 /// caps the total. Sessions past the budget are simply not cached

@@ -107,15 +107,13 @@ GraphMatching GreedyMaxWeightMatching(size_t vertex_count,
 }
 
 std::vector<WeightedEdge> BuildDiversityEdges(const TaskDistanceOracle& d,
-                                              size_t max_threads,
-                                              DistanceBackend backend) {
+                                              size_t max_threads) {
   const size_t n = d.task_count();
   if (n < 2) return {};
   // The fused SoA sweep applies only when distances come from keyword
   // vectors; a precomputed (or dense-matrix) oracle already answers
   // from its float cache, which the kernels must not bypass.
-  const bool batched =
-      backend == DistanceBackend::kBatched && !d.is_precomputed();
+  const bool batched = !d.is_precomputed();
   // PackedRows packs the oracle's rows in local-vector mode and gathers
   // them from the shared catalog matrix in subset mode; either way the
   // rows (and thus the emitted edges) are bitwise identical.
@@ -194,14 +192,6 @@ std::vector<WeightedEdge> BuildDiversityEdges(const TaskDistanceOracle& d,
     edges.insert(edges.end(), shard.begin(), shard.end());
   }
   return edges;
-}
-
-GraphMatching GreedyMatchingOnTaskGraph(const TaskDistanceOracle& oracle,
-                                        size_t max_threads,
-                                        DistanceBackend backend) {
-  return GreedyMaxWeightMatching(
-      oracle.task_count(), BuildDiversityEdges(oracle, max_threads, backend),
-      max_threads);
 }
 
 GraphMatching PathGrowingMatching(size_t vertex_count,

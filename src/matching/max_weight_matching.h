@@ -34,22 +34,16 @@ GraphMatching GreedyMaxWeightMatching(size_t vertex_count,
 /// sized from the exact per-block pair counts and concatenated in
 /// block order, so the returned list is bit-identical to a serial
 /// row-major scan for any thread count. `max_threads` caps the threads
-/// used (0 = pool size, 1 = serial). With the default kBatched backend
-/// an on-the-fly oracle is swept by the fused SoA emission kernel
-/// (core/packed_set.h) instead of per-pair oracle calls — same edges,
-/// same order; precomputed / dense-matrix oracles always read their
-/// float cache regardless of backend.
-std::vector<WeightedEdge> BuildDiversityEdges(
-    const TaskDistanceOracle& d, size_t max_threads = 0,
-    DistanceBackend backend = DistanceBackend::kBatched);
-
-/// Greedy matching on the task-diversity graph B: BuildDiversityEdges
-/// followed by GreedyMaxWeightMatching. Unlike the paper's description
-/// it does not materialize the ~n²/2 zero-weight pairs (600 MB of
-/// edges at |T| = 10⁴ buys only weight-0 matches).
-GraphMatching GreedyMatchingOnTaskGraph(
-    const TaskDistanceOracle& oracle, size_t max_threads = 0,
-    DistanceBackend backend = DistanceBackend::kBatched);
+/// used (0 = pool size, 1 = serial). An oracle that computes distances
+/// from keyword vectors (on-the-fly or shared subset) is swept by the
+/// fused SoA emission kernel (core/packed_set.h); precomputed /
+/// dense-matrix oracles are read pair by pair from their float cache —
+/// same edges, same order. Unlike the paper's description, the ~n²/2
+/// zero-weight pairs are never materialized (600 MB of edges at
+/// |T| = 10⁴ buys only weight-0 matches); greedy matching on B is
+/// GreedyMaxWeightMatching(d.task_count(), BuildDiversityEdges(d)).
+std::vector<WeightedEdge> BuildDiversityEdges(const TaskDistanceOracle& d,
+                                              size_t max_threads = 0);
 
 /// Path-growing algorithm of Drake & Hougardy: also a 1/2-approximation
 /// but linear in |E| after adjacency construction — provided as an

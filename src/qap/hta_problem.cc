@@ -4,45 +4,24 @@
 #include <string>
 
 #include "core/packed_set.h"
-#include "util/parallel.h"
 
 namespace hta {
 
 void HtaProblem::FillRelevanceTable(std::vector<double>* rel,
-                                    size_t max_threads,
-                                    DistanceBackend backend) const {
-  const size_t num_tasks = task_count();
-  const size_t num_workers = worker_count();
+                                    size_t max_threads) const {
   if (!relevance_override_.empty()) {
     *rel = relevance_override_;
     return;
   }
-  rel->resize(num_tasks * num_workers);
-  if (backend == DistanceBackend::kBatched) {
-    // PackedRows gathers from the shared catalog matrix in subset mode
-    // (no re-packing) and packs the local vector otherwise; rows are
-    // bitwise identical either way.
-    const PackedSetMatrix packed_tasks = oracle_.PackedRows();
-    const PackedSetMatrix packed_workers =
-        PackedSetMatrix::FromWorkers(*workers_);
-    RectangularRelevance(packed_tasks, packed_workers, oracle_.kind(),
-                         rel->data(), max_threads);
-    return;
-  }
-  double* out = rel->data();
-  ParallelFor(
-      0, num_tasks, /*grain=*/16,
-      [&](size_t t_begin, size_t t_end) {
-        for (size_t t = t_begin; t < t_end; ++t) {
-          for (size_t q = 0; q < num_workers; ++q) {
-            out[t * num_workers + q] =
-                TaskRelevance(oracle_.kind(),
-                              oracle_.task(static_cast<TaskIndex>(t)),
-                              (*workers_)[q]);
-          }
-        }
-      },
-      max_threads);
+  rel->resize(task_count() * worker_count());
+  // PackedRows gathers from the shared catalog matrix in subset mode
+  // (no re-packing) and packs the local vector otherwise; rows are
+  // bitwise identical either way.
+  const PackedSetMatrix packed_tasks = oracle_.PackedRows();
+  const PackedSetMatrix packed_workers =
+      PackedSetMatrix::FromWorkers(*workers_);
+  RectangularRelevance(packed_tasks, packed_workers, oracle_.kind(),
+                       rel->data(), max_threads);
 }
 
 Status HtaProblem::ValidateWorkers(const std::vector<Worker>* workers,

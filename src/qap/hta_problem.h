@@ -98,13 +98,11 @@ class HtaProblem {
   /// rel[t * |W| + q]) with Relevance(t, q) for every pair — the dense
   /// table behind the tabulated LSAP profits and the local-search
   /// bundle cache. With an override matrix the table is a copy;
-  /// otherwise the kBatched backend (default) runs the rectangular SoA
-  /// relevance kernel and kScalar the per-pair TaskRelevance loop —
-  /// bit-identical results either way, parallelized over task-row
-  /// blocks (`max_threads` caps threads, 0 = pool size).
-  void FillRelevanceTable(
-      std::vector<double>* rel, size_t max_threads = 0,
-      DistanceBackend backend = DistanceBackend::kBatched) const;
+  /// otherwise the rectangular SoA relevance kernel computes the same
+  /// doubles as TaskRelevance, parallelized over task-row blocks
+  /// (`max_threads` caps threads, 0 = pool size).
+  void FillRelevanceTable(std::vector<double>* rel,
+                          size_t max_threads = 0) const;
 
   /// rel(t_k, w_q): the override matrix when present, otherwise derived
   /// from keyword vectors under the problem's metric.

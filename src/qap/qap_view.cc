@@ -81,8 +81,7 @@ double QapView::Objective(const std::vector<int32_t>& perm,
 }
 
 DenseQapMatrices DenseQapMatrices::FromView(const QapView& view,
-                                            size_t max_threads,
-                                            DistanceBackend backend) {
+                                            size_t max_threads) {
   DenseQapMatrices m;
   m.n = view.n();
   m.a.resize(m.n * m.n);
@@ -91,8 +90,7 @@ DenseQapMatrices DenseQapMatrices::FromView(const QapView& view,
   // Batched B rows only when distances come from keyword vectors; a
   // precomputed (or dense-matrix) oracle answers from its float cache,
   // which the kernel must not bypass.
-  const bool batched = backend == DistanceBackend::kBatched &&
-                       !view.problem().oracle().is_precomputed();
+  const bool batched = !view.problem().oracle().is_precomputed();
   // PackedRows works in both local-vector and shared-subset modes
   // (gathered rows are bitwise identical to re-packed ones).
   const PackedSetMatrix packed = batched

@@ -125,13 +125,11 @@ struct DenseQapMatrices {
 
   /// Materializes A, B, C from the implicit view, row-parallel on the
   /// global pool (rows write disjoint slices; bit-identical for any
-  /// thread count). With the default kBatched backend the B rows of
-  /// keyword-derived instances come from the one-vs-many SoA kernel
-  /// (core/packed_set.h); precomputed / dense-matrix oracles keep the
-  /// per-entry view reads.
-  static DenseQapMatrices FromView(
-      const QapView& view, size_t max_threads = 0,
-      DistanceBackend backend = DistanceBackend::kBatched);
+  /// thread count). The B rows of keyword-derived instances come from
+  /// the one-vs-many SoA kernel (core/packed_set.h); precomputed /
+  /// dense-matrix oracles keep the per-entry view reads.
+  static DenseQapMatrices FromView(const QapView& view,
+                                   size_t max_threads = 0);
 
   /// Objective of a permutation evaluated from the dense matrices;
   /// cross-checked against QapView::Objective in tests.

@@ -14,11 +14,9 @@ namespace hta {
 /// Configuration of the online-deployment reproduction (Section V-C /
 /// Fig. 5). Defaults follow the paper: 20 work sessions per strategy,
 /// 30-minute sessions, Xmax = 15 with 5 extra random tasks. The
-/// embedded service runs with its warm catalog cache on by default
-/// (see AssignmentServiceOptions::warm_cache) — bit-identical curves
-/// to the cold path, with per-iteration setup amortized to the subset
-/// remap; set service.warm_cache = false (or HTA_WARM_CACHE=0) to
-/// force the cold reference path.
+/// embedded service solves every iteration over a subset view of its
+/// catalog cache, so per-iteration setup is amortized to the subset
+/// remap.
 struct OnlineExperimentOptions {
   std::vector<StrategyKind> strategies = {
       StrategyKind::kHtaGre, StrategyKind::kHtaGreRel,

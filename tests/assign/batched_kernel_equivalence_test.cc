@@ -1,18 +1,19 @@
-// Batched/scalar equivalence net for the SoA distance kernels: on
-// randomized instances, every consumer of DistanceBackend — the
+// Equivalence net for the SoA distance kernels: on randomized
+// instances, every production consumer of the batched kernels — the
 // precomputed distance cache, the fused diversity-edge emission, the
 // dense QAP materialization, the rel[t][q] relevance table, and the
-// full HTA-APP / HTA-GRE solver pipelines — must produce bit-identical
-// results under DistanceBackend::kBatched and DistanceBackend::kScalar,
-// at every thread cap. This is what lets the batched kernels be the
-// default: they are a pure performance change, invisible to results.
+// tabulated auxiliary-LSAP profits — must reproduce a test-local
+// per-pair loop over the public scalar PairwiseTaskDiversity /
+// TaskRelevance (or QapView entry) bit-for-bit, at every thread cap.
+// This is what makes the kernels a pure performance change, invisible
+// to results.
 #include <cstdlib>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "assign/hta_solver.h"
-#include "assign/local_search.h"
+#include "core/catalog_cache.h"
 #include "core/distance_oracle.h"
 #include "matching/max_weight_matching.h"
 #include "qap/qap_view.h"
@@ -64,28 +65,78 @@ Instance MakeInstance(size_t num_tasks, size_t num_workers, uint64_t seed) {
   return inst;
 }
 
+// Reference: the strict upper triangle, row-major, as floats.
+std::vector<float> ScalarTriangle(const std::vector<Task>& tasks,
+                                  DistanceKind kind) {
+  std::vector<float> tri;
+  for (size_t i = 0; i < tasks.size(); ++i) {
+    for (size_t j = i + 1; j < tasks.size(); ++j) {
+      tri.push_back(
+          static_cast<float>(PairwiseTaskDiversity(kind, tasks[i], tasks[j])));
+    }
+  }
+  return tri;
+}
+
+// Reference: the positive-weight pairs under `dist`, row-major.
+template <typename Dist>
+std::vector<WeightedEdge> ScalarEdges(size_t n, Dist dist) {
+  std::vector<WeightedEdge> edges;
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = i + 1; j < n; ++j) {
+      const float w = static_cast<float>(dist(i, j));
+      if (w > 0.0f) {
+        edges.push_back(WeightedEdge{static_cast<VertexId>(i),
+                                     static_cast<VertexId>(j), w});
+      }
+    }
+  }
+  return edges;
+}
+
+// Reference: rel[t * |W| + q] = TaskRelevance(t, q).
+std::vector<double> ScalarRelevance(const Instance& inst, DistanceKind kind) {
+  std::vector<double> rel;
+  for (const Task& t : inst.tasks) {
+    for (const Worker& w : inst.workers) {
+      rel.push_back(TaskRelevance(kind, t, w));
+    }
+  }
+  return rel;
+}
+
+void ExpectSameEdges(const std::vector<WeightedEdge>& got,
+                     const std::vector<WeightedEdge>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t e = 0; e < want.size(); ++e) {
+    ASSERT_EQ(got[e].u, want[e].u) << "edge " << e;
+    ASSERT_EQ(got[e].v, want[e].v) << "edge " << e;
+    ASSERT_EQ(got[e].weight, want[e].weight) << "edge " << e;
+  }
+}
+
 TEST(BatchedKernelEquivalenceTest, PrecomputedCacheBitIdentical) {
   ASSERT_TRUE(kForcePoolSize);
   for (const DistanceKind kind : kAllKinds) {
     for (const uint64_t seed : {101u, 102u}) {
       const Instance inst = MakeInstance(90, 4, seed);
-      auto scalar = TaskDistanceOracle::Precomputed(
-          &inst.tasks, kind, size_t{4} << 30, /*max_threads=*/1,
-          DistanceBackend::kScalar);
-      ASSERT_TRUE(scalar.ok());
+      const std::vector<float> tri = ScalarTriangle(inst.tasks, kind);
       for (const size_t cap : kThreadCaps) {
-        auto batched = TaskDistanceOracle::Precomputed(
-            &inst.tasks, kind, size_t{4} << 30, cap,
-            DistanceBackend::kBatched);
+        auto batched = TaskDistanceOracle::Precomputed(&inst.tasks, kind,
+                                                       size_t{4} << 30, cap);
         ASSERT_TRUE(batched.ok());
+        size_t at = 0;
         for (size_t i = 0; i < inst.tasks.size(); ++i) {
-          for (size_t j = 0; j < inst.tasks.size(); ++j) {
+          for (size_t j = i + 1; j < inst.tasks.size(); ++j, ++at) {
+            const double want = tri[at];
             ASSERT_EQ((*batched)(static_cast<TaskIndex>(i),
                                  static_cast<TaskIndex>(j)),
-                      (*scalar)(static_cast<TaskIndex>(i),
-                                static_cast<TaskIndex>(j)))
+                      want)
                 << DistanceKindName(kind) << " cap " << cap << " pair ("
                 << i << ", " << j << ")";
+            ASSERT_EQ((*batched)(static_cast<TaskIndex>(j),
+                                 static_cast<TaskIndex>(i)),
+                      want);
           }
         }
       }
@@ -98,38 +149,51 @@ TEST(BatchedKernelEquivalenceTest, DiversityEdgesBitIdentical) {
     for (const uint64_t seed : {111u, 112u}) {
       const Instance inst = MakeInstance(85, 3, seed);
       const TaskDistanceOracle oracle(&inst.tasks, kind);
-      const std::vector<WeightedEdge> scalar = BuildDiversityEdges(
-          oracle, /*max_threads=*/1, DistanceBackend::kScalar);
+      const std::vector<WeightedEdge> want =
+          ScalarEdges(inst.tasks.size(), [&](size_t i, size_t j) {
+            return PairwiseTaskDiversity(kind, inst.tasks[i], inst.tasks[j]);
+          });
       for (const size_t cap : kThreadCaps) {
-        const std::vector<WeightedEdge> batched =
-            BuildDiversityEdges(oracle, cap, DistanceBackend::kBatched);
-        ASSERT_EQ(batched.size(), scalar.size())
-            << DistanceKindName(kind) << " cap " << cap;
-        for (size_t e = 0; e < scalar.size(); ++e) {
-          ASSERT_EQ(batched[e].u, scalar[e].u) << "edge " << e;
-          ASSERT_EQ(batched[e].v, scalar[e].v) << "edge " << e;
-          ASSERT_EQ(batched[e].weight, scalar[e].weight) << "edge " << e;
-        }
+        SCOPED_TRACE(std::string(DistanceKindName(kind)) + " cap " +
+                     std::to_string(cap));
+        ExpectSameEdges(BuildDiversityEdges(oracle, cap), want);
       }
     }
   }
 }
 
 TEST(BatchedKernelEquivalenceTest, PrecomputedOracleBypassesBatchedPath) {
-  // A precomputed oracle answers from its float cache; the batched
-  // request must not silently rebuild from keyword vectors (the cache
-  // holds floats, the kernels doubles — bypassing would change bits).
+  // Precomputed and dense-matrix oracles answer from their float cache;
+  // the edge builder must read that cache, not silently rebuild from
+  // keyword vectors. The dense matrix holds distances unrelated to the
+  // keywords, so a rebuild would change the edges.
   const Instance inst = MakeInstance(60, 3, 121);
   auto pre = TaskDistanceOracle::Precomputed(&inst.tasks,
                                              DistanceKind::kJaccard);
   ASSERT_TRUE(pre.ok());
-  const std::vector<WeightedEdge> batched =
-      BuildDiversityEdges(*pre, /*max_threads=*/1, DistanceBackend::kBatched);
-  const std::vector<WeightedEdge> scalar =
-      BuildDiversityEdges(*pre, /*max_threads=*/1, DistanceBackend::kScalar);
-  ASSERT_EQ(batched.size(), scalar.size());
-  for (size_t e = 0; e < scalar.size(); ++e) {
-    ASSERT_EQ(batched[e].weight, scalar[e].weight) << "edge " << e;
+  const size_t n = inst.tasks.size();
+  std::vector<double> matrix(n * n, 0.0);
+  Rng rng(122);
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = i + 1; j < n; ++j) {
+      const double d = rng.NextBounded(4) == 0 ? 0.0 : rng.NextDouble();
+      matrix[i * n + j] = d;
+      matrix[j * n + i] = d;
+    }
+  }
+  auto dense = TaskDistanceOracle::FromDenseMatrix(
+      &inst.tasks, DistanceKind::kJaccard, matrix);
+  ASSERT_TRUE(dense.ok()) << dense.status();
+  for (const TaskDistanceOracle* oracle : {&*pre, &*dense}) {
+    const std::vector<WeightedEdge> want =
+        ScalarEdges(n, [&](size_t i, size_t j) {
+          return (*oracle)(static_cast<TaskIndex>(i),
+                           static_cast<TaskIndex>(j));
+        });
+    for (const size_t cap : kThreadCaps) {
+      SCOPED_TRACE("cap " + std::to_string(cap));
+      ExpectSameEdges(BuildDiversityEdges(*oracle, cap), want);
+    }
   }
 }
 
@@ -139,15 +203,23 @@ TEST(BatchedKernelEquivalenceTest, DenseQapMatricesBitIdentical) {
     auto problem = HtaProblem::Create(&inst.tasks, &inst.workers, /*xmax=*/4);
     ASSERT_TRUE(problem.ok());
     const QapView view(&*problem);
-    const DenseQapMatrices scalar = DenseQapMatrices::FromView(
-        view, /*max_threads=*/1, DistanceBackend::kScalar);
+    const size_t n = view.n();
+    std::vector<double> a(n * n);
+    std::vector<double> b(n * n);
+    std::vector<double> c(n * n);
+    for (size_t k = 0; k < n; ++k) {
+      for (size_t l = 0; l < n; ++l) {
+        a[k * n + l] = view.A(k, l);
+        b[k * n + l] = view.B(k, l);
+        c[k * n + l] = view.C(k, l);
+      }
+    }
     for (const size_t cap : kThreadCaps) {
-      const DenseQapMatrices batched =
-          DenseQapMatrices::FromView(view, cap, DistanceBackend::kBatched);
-      ASSERT_EQ(batched.n, scalar.n);
-      EXPECT_EQ(batched.a, scalar.a) << "cap " << cap;
-      EXPECT_EQ(batched.b, scalar.b) << "cap " << cap;
-      EXPECT_EQ(batched.c, scalar.c) << "cap " << cap;
+      const DenseQapMatrices batched = DenseQapMatrices::FromView(view, cap);
+      ASSERT_EQ(batched.n, n);
+      EXPECT_EQ(batched.a, a) << "cap " << cap;
+      EXPECT_EQ(batched.b, b) << "cap " << cap;
+      EXPECT_EQ(batched.c, c) << "cap " << cap;
     }
   }
 }
@@ -159,95 +231,51 @@ TEST(BatchedKernelEquivalenceTest, RelevanceTableBitIdentical) {
         HtaProblem::Create(&inst.tasks, &inst.workers, /*xmax=*/4, kind,
                            /*allow_non_metric=*/kind == DistanceKind::kDice);
     ASSERT_TRUE(problem.ok());
-    const size_t cells = inst.tasks.size() * inst.workers.size();
-    std::vector<double> scalar(cells);
-    problem->FillRelevanceTable(&scalar, /*max_threads=*/1,
-                                DistanceBackend::kScalar);
+    const std::vector<double> want = ScalarRelevance(inst, kind);
     for (const size_t cap : kThreadCaps) {
-      std::vector<double> batched(cells);
-      problem->FillRelevanceTable(&batched, cap, DistanceBackend::kBatched);
-      EXPECT_EQ(batched, scalar)
-          << DistanceKindName(kind) << " cap " << cap;
+      std::vector<double> batched;
+      problem->FillRelevanceTable(&batched, cap);
+      EXPECT_EQ(batched, want) << DistanceKindName(kind) << " cap " << cap;
     }
   }
 }
 
-class SolverBackendEquivalence : public ::testing::TestWithParam<LsapMethod> {
-};
-
-TEST_P(SolverBackendEquivalence, AssignmentsBitIdenticalAcrossBackends) {
-  for (const uint64_t seed : {151u, 152u, 153u}) {
-    const Instance inst = MakeInstance(88, 4, seed);
-    auto problem = HtaProblem::Create(&inst.tasks, &inst.workers, /*xmax=*/5);
-    ASSERT_TRUE(problem.ok());
-
-    HtaSolverOptions options;
-    options.lsap = GetParam();
-    options.swap = SwapMode::kBestOfTwo;  // Deterministic swap phase.
-    options.seed = seed;
-
-    options.backend = DistanceBackend::kScalar;
-    options.threads = 1;
-    auto scalar = SolveHta(*problem, options);
-    ASSERT_TRUE(scalar.ok());
-
-    options.backend = DistanceBackend::kBatched;
-    for (const size_t cap : {size_t{1}, size_t{0}}) {
-      options.threads = cap;
-      auto batched = SolveHta(*problem, options);
-      ASSERT_TRUE(batched.ok());
-      EXPECT_EQ(batched->assignment.bundles, scalar->assignment.bundles)
-          << "threads " << cap;
-      EXPECT_EQ(batched->stats.qap_objective, scalar->stats.qap_objective);
-      EXPECT_EQ(batched->stats.motivation, scalar->stats.motivation);
-      EXPECT_EQ(batched->stats.optimum_upper_bound,
-                scalar->stats.optimum_upper_bound);
-      EXPECT_EQ(batched->stats.certified_ratio,
-                scalar->stats.certified_ratio);
-      EXPECT_EQ(batched->stats.matched_pairs, scalar->stats.matched_pairs);
+// The solver's tabulated auxiliary-LSAP profits compute
+// c_{k,q*Xmax} = beta_q * rel[k*|W|+q] * (Xmax-1) from the relevance
+// table; that must equal QapView::C, which evaluates Relevance() per
+// entry, bit-for-bit — on keyword-derived and on subset-view problems.
+TEST(BatchedKernelEquivalenceTest, TabulatedProfitMatchesQapViewC) {
+  for (const DistanceKind kind : kAllKinds) {
+    const Instance inst = MakeInstance(70, 5, 171);
+    const bool non_metric = kind == DistanceKind::kDice;
+    auto created = HtaProblem::Create(&inst.tasks, &inst.workers,
+                                      /*xmax=*/4, kind, non_metric);
+    ASSERT_TRUE(created.ok());
+    const CatalogCache cache(&inst.tasks, kind);
+    std::vector<size_t> subset;
+    for (size_t t = 1; t < inst.tasks.size(); t += 2) subset.push_back(t);
+    const CatalogSubsetView view(&cache, subset);
+    auto from_subset = HtaProblem::CreateFromSubset(&view, &inst.workers,
+                                                    /*xmax=*/4, non_metric);
+    ASSERT_TRUE(from_subset.ok());
+    for (const HtaProblem* problem : {&*created, &*from_subset}) {
+      const QapView qap(problem);
+      const size_t num_workers = problem->worker_count();
+      const double norm = static_cast<double>(problem->xmax()) - 1.0;
+      for (const size_t cap : kThreadCaps) {
+        std::vector<double> rel;
+        problem->FillRelevanceTable(&rel, cap);
+        for (size_t k = 0; k < problem->task_count(); ++k) {
+          for (size_t q = 0; q < num_workers; ++q) {
+            const double tabulated = problem->workers()[q].weights().beta *
+                                     rel[k * num_workers + q] * norm;
+            ASSERT_EQ(tabulated, qap.C(k, q * problem->xmax()))
+                << DistanceKindName(kind) << " cap " << cap << " task " << k
+                << " worker " << q;
+          }
+        }
+      }
     }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(AllLsapMethods, SolverBackendEquivalence,
-                         ::testing::Values(LsapMethod::kExactJv,
-                                           LsapMethod::kGreedy,
-                                           LsapMethod::kExactStructured),
-                         [](const ::testing::TestParamInfo<LsapMethod>& info) {
-                           switch (info.param) {
-                             case LsapMethod::kExactJv:
-                               return "jv";
-                             case LsapMethod::kGreedy:
-                               return "greedy";
-                             case LsapMethod::kExactStructured:
-                               return "rect";
-                           }
-                           return "unknown";
-                         });
-
-TEST(BatchedKernelEquivalenceTest, LocalSearchBitIdenticalAcrossBackends) {
-  const Instance inst = MakeInstance(60, 4, 161);
-  auto problem = HtaProblem::Create(&inst.tasks, &inst.workers, /*xmax=*/4);
-  ASSERT_TRUE(problem.ok());
-  auto seeded = SolveHtaGre(*problem, /*seed=*/161);
-  ASSERT_TRUE(seeded.ok());
-
-  LocalSearchOptions options;
-  options.backend = DistanceBackend::kScalar;
-  options.threads = 1;
-  auto scalar = ImproveAssignment(*problem, seeded->assignment, options);
-  ASSERT_TRUE(scalar.ok());
-
-  options.backend = DistanceBackend::kBatched;
-  for (const size_t cap : {size_t{1}, size_t{0}}) {
-    options.threads = cap;
-    auto batched = ImproveAssignment(*problem, seeded->assignment, options);
-    ASSERT_TRUE(batched.ok());
-    EXPECT_EQ(batched->assignment.bundles, scalar->assignment.bundles)
-        << "threads " << cap;
-    EXPECT_EQ(batched->motivation, scalar->motivation);
-    EXPECT_EQ(batched->applied_delta, scalar->applied_delta);
-    EXPECT_EQ(batched->improving_moves, scalar->improving_moves);
   }
 }
 

@@ -1,12 +1,17 @@
-// Equivalence suite for the incremental local search: the O(1)-delta
-// evaluator must reproduce the retained naive reference move-for-move
-// (identical final assignments and motivation), under both scan modes,
-// across every DistanceKind, varying Xmax, and under-capacity seeds —
-// and the deterministic scan must be bit-identical at any thread cap.
+// Equivalence suite for the incremental local search: ImproveAssignment
+// (O(1) deltas from BundleStatsCache, parallel best-candidate scans)
+// must reproduce a test-local serial best-improvement driver built on
+// the naive NaiveReplaceDelta / NaiveInsertDelta evaluators move-for-
+// move (identical final assignments and motivation), across every
+// DistanceKind, varying Xmax, and under-capacity seeds — and must be
+// bit-identical at any thread cap.
 #include "assign/local_search.h"
 
+#include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -53,15 +58,119 @@ Fixture RandomFixture(size_t num_tasks, size_t num_workers, uint64_t seed) {
 }
 
 LocalSearchResult Improve(const HtaProblem& problem, const Assignment& seed,
-                          LocalSearchEval eval, LocalSearchScan scan,
                           size_t threads = 0) {
   LocalSearchOptions options;
-  options.evaluation = eval;
-  options.scan = scan;
   options.threads = threads;
   auto improved = ImproveAssignment(problem, seed, options);
   HTA_CHECK(improved.ok()) << improved.status();
   return *improved;
+}
+
+// The tie rule of the production scans: a later candidate displaces the
+// incumbent only when better by a 1e-9 relative margin.
+bool StrictlyBetter(double delta, double best) {
+  const double scale = std::max({1.0, std::fabs(delta), std::fabs(best)});
+  return delta > best + 1e-9 * scale;
+}
+
+constexpr double kImprovementEps = 1e-12;
+constexpr size_t kNone = static_cast<size_t>(-1);
+
+// Reference driver: serial best-improvement passes (replace, exchange,
+// insert) over naive from-scratch deltas. Per bundle slot, the best
+// candidate (lowest index on ties) is applied before the next slot.
+LocalSearchResult ReferenceImprove(const HtaProblem& problem,
+                                   const Assignment& seed,
+                                   size_t max_passes = 8) {
+  LocalSearchResult result;
+  result.assignment = seed;
+  std::vector<TaskBundle>& bundles = result.assignment.bundles;
+  std::vector<bool> assigned(problem.task_count(), false);
+  for (const TaskBundle& b : bundles) {
+    for (TaskIndex t : b) assigned[t] = true;
+  }
+  std::vector<TaskIndex> unassigned;
+  for (size_t t = 0; t < problem.task_count(); ++t) {
+    if (!assigned[t]) unassigned.push_back(static_cast<TaskIndex>(t));
+  }
+  const size_t workers = problem.worker_count();
+  for (result.passes = 0; result.passes < max_passes; ++result.passes) {
+    bool improved = false;
+    // Replace: swap a bundle slot with an unassigned task.
+    for (WorkerIndex q = 0; q < workers && !unassigned.empty(); ++q) {
+      for (size_t pos = 0; pos < bundles[q].size(); ++pos) {
+        double best = kImprovementEps;
+        size_t best_u = kNone;
+        for (size_t u = 0; u < unassigned.size(); ++u) {
+          const double delta =
+              NaiveReplaceDelta(problem, bundles[q], pos, unassigned[u], q);
+          if (StrictlyBetter(delta, best)) {
+            best = delta;
+            best_u = u;
+          }
+        }
+        if (best_u == kNone) continue;
+        std::swap(bundles[q][pos], unassigned[best_u]);
+        ++result.improving_moves;
+        improved = true;
+      }
+    }
+    // Exchange: swap slots between two workers' bundles.
+    for (WorkerIndex q1 = 0; q1 + 1 < workers; ++q1) {
+      for (size_t p1 = 0; p1 < bundles[q1].size(); ++p1) {
+        double best = kImprovementEps;
+        WorkerIndex best_q2 = 0;
+        size_t best_p2 = kNone;
+        for (WorkerIndex q2 = q1 + 1; q2 < workers; ++q2) {
+          for (size_t p2 = 0; p2 < bundles[q2].size(); ++p2) {
+            const double delta =
+                NaiveReplaceDelta(problem, bundles[q1], p1, bundles[q2][p2],
+                                  q1) +
+                NaiveReplaceDelta(problem, bundles[q2], p2, bundles[q1][p1],
+                                  q2);
+            if (StrictlyBetter(delta, best)) {
+              best = delta;
+              best_q2 = q2;
+              best_p2 = p2;
+            }
+          }
+        }
+        if (best_p2 == kNone) continue;
+        std::swap(bundles[q1][p1], bundles[best_q2][best_p2]);
+        ++result.improving_moves;
+        improved = true;
+      }
+    }
+    // Insert: fill spare capacity with the best unassigned task.
+    for (WorkerIndex q = 0; q < workers; ++q) {
+      while (bundles[q].size() < problem.xmax() && !unassigned.empty()) {
+        double best = -1.0;
+        size_t best_u = kNone;
+        for (size_t u = 0; u < unassigned.size(); ++u) {
+          const double delta =
+              NaiveInsertDelta(problem, bundles[q], unassigned[u], q);
+          if (StrictlyBetter(delta, best)) {
+            best = delta;
+            best_u = u;
+          }
+        }
+        if (best_u == kNone || best < 0.0) break;
+        bundles[q].push_back(unassigned[best_u]);
+        unassigned[best_u] = unassigned.back();
+        unassigned.pop_back();
+        if (best > kImprovementEps) {
+          ++result.improving_moves;
+          improved = true;
+        }
+      }
+    }
+    if (!improved) {
+      result.reached_local_optimum = true;
+      break;
+    }
+  }
+  result.motivation = TotalMotivation(problem, result.assignment);
+  return result;
 }
 
 void ExpectIdentical(const LocalSearchResult& a, const LocalSearchResult& b,
@@ -87,23 +196,14 @@ TEST_P(LocalSearchEquivalenceTest, IncrementalMatchesNaiveOnGreSeeds) {
       ASSERT_TRUE(problem.ok()) << problem.status();
       auto gre = SolveHtaGre(*problem, seed);
       ASSERT_TRUE(gre.ok());
-      for (const LocalSearchScan scan : {LocalSearchScan::kDeterministicBest,
-                                         LocalSearchScan::kLegacySerial}) {
-        const LocalSearchResult incremental =
-            Improve(*problem, gre->assignment, LocalSearchEval::kIncremental,
-                    scan);
-        const LocalSearchResult naive =
-            Improve(*problem, gre->assignment,
-                    LocalSearchEval::kNaiveReference, scan);
-        ExpectIdentical(incremental, naive,
-                        scan == LocalSearchScan::kDeterministicBest
-                            ? "deterministic scan"
-                            : "legacy scan");
-        EXPECT_GE(incremental.motivation + 1e-9,
-                  incremental.initial_motivation);
-        EXPECT_TRUE(
-            ValidateAssignment(*problem, incremental.assignment).ok());
-      }
+      const LocalSearchResult incremental =
+          Improve(*problem, gre->assignment);
+      ExpectIdentical(incremental,
+                      ReferenceImprove(*problem, gre->assignment),
+                      "GRE seed");
+      EXPECT_GE(incremental.motivation + 1e-9,
+                incremental.initial_motivation);
+      EXPECT_TRUE(ValidateAssignment(*problem, incremental.assignment).ok());
     }
   }
 }
@@ -124,16 +224,11 @@ TEST_P(LocalSearchEquivalenceTest, IncrementalMatchesNaiveUnderCapacity) {
     for (size_t q = 0; q < 3; ++q) {
       for (size_t i = 0; i < q; ++i) partial.bundles[q].push_back(next++);
     }
-    for (const LocalSearchScan scan : {LocalSearchScan::kDeterministicBest,
-                                       LocalSearchScan::kLegacySerial}) {
-      const LocalSearchResult incremental = Improve(
-          *problem, partial, LocalSearchEval::kIncremental, scan);
-      const LocalSearchResult naive = Improve(
-          *problem, partial, LocalSearchEval::kNaiveReference, scan);
-      ExpectIdentical(incremental, naive, "under-capacity seed");
-      // Inserts never hurt, so all capacity (3 workers x Xmax 5) fills.
-      EXPECT_EQ(incremental.assignment.AssignedTaskCount(), 15u);
-    }
+    const LocalSearchResult incremental = Improve(*problem, partial);
+    ExpectIdentical(incremental, ReferenceImprove(*problem, partial),
+                    "under-capacity seed");
+    // Inserts never hurt, so all capacity (3 workers x Xmax 5) fills.
+    EXPECT_EQ(incremental.assignment.AssignedTaskCount(), 15u);
   }
 }
 
@@ -146,12 +241,10 @@ TEST_P(LocalSearchEquivalenceTest, DeterministicScanBitIdenticalAcrossThreads) {
   auto gre = SolveHtaGre(*problem, 21);
   ASSERT_TRUE(gre.ok());
   const LocalSearchResult serial =
-      Improve(*problem, gre->assignment, LocalSearchEval::kIncremental,
-              LocalSearchScan::kDeterministicBest, /*threads=*/1);
+      Improve(*problem, gre->assignment, /*threads=*/1);
   for (const size_t threads : {size_t{0}, size_t{2}, size_t{4}}) {
     const LocalSearchResult parallel =
-        Improve(*problem, gre->assignment, LocalSearchEval::kIncremental,
-                LocalSearchScan::kDeterministicBest, threads);
+        Improve(*problem, gre->assignment, threads);
     ExpectIdentical(serial, parallel, "thread cap");
   }
 }

@@ -131,7 +131,9 @@ TEST_F(WorkedExampleTest, ExampleTwoExtractionViaEquationSeven) {
 }
 
 TEST_F(WorkedExampleTest, ExampleThreeGreedyMatchingMB) {
-  const GraphMatching mb = GreedyMatchingOnTaskGraph(problem_->oracle());
+  const TaskDistanceOracle& oracle = problem_->oracle();
+  const GraphMatching mb =
+      GreedyMaxWeightMatching(oracle.task_count(), BuildDiversityEdges(oracle));
   ASSERT_EQ(mb.edges.size(), 4u);
   // Sorted by weight desc with index tie-breaks: (t1,t6), (t4,t8),
   // (t2,t3), (t5,t7) — exactly the paper's M_B as unordered pairs.
@@ -146,10 +148,12 @@ TEST_F(WorkedExampleTest, ExampleThreeAuxiliaryProfit) {
   // f_{1,1} = bM(t1) * degA_1 + c_{1,1} = 1 * (0.2 * 2) + 2*0.8*0.28
   //         = 0.4 + 0.448 = 0.848.
   const QapView view(problem_.get());
-  const GraphMatching mb = GreedyMatchingOnTaskGraph(problem_->oracle());
+  const TaskDistanceOracle& oracle = problem_->oracle();
+  const GraphMatching mb =
+      GreedyMaxWeightMatching(oracle.task_count(), BuildDiversityEdges(oracle));
   std::vector<double> bm(8, 0.0);
   for (const auto& [u, v] : mb.edges) {
-    const double w = problem_->oracle()(u, v);
+    const double w = oracle(u, v);
     bm[u] = w;
     bm[v] = w;
   }

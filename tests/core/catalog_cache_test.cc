@@ -62,7 +62,7 @@ TEST(CatalogCacheTest, DisabledTriangleStillBitIdentical) {
   const auto catalog = RandomCatalog(40, 80, 12);
   for (const DistanceKind kind : kAllKinds) {
     CatalogCache::Options options;
-    options.enable_distance_cache = false;
+    options.max_distance_cache_bytes = 0;
     const CatalogCache cache(&catalog, kind, options);
     EXPECT_FALSE(cache.distance_cache_enabled());
     for (size_t i = 0; i < catalog.size(); ++i) {

@@ -18,7 +18,6 @@
 #include "core/motivation.h"
 #include "engine/assignment_service.h"
 #include "sim/catalog.h"
-#include "util/env.h"
 #include "util/rng.h"
 
 namespace hta {
@@ -227,12 +226,6 @@ void CheckDisplayOwnership(const AssignmentService& service,
 }
 
 TEST_P(WarmStartChurn, WarmBundlesNeverWorseOnAlignedRefreshes) {
-  // warm_start requires the warm catalog cache; under the CI cold
-  // -reference run (HTA_WARM_CACHE=0) the warm service degenerates to
-  // a second cold service and the comparison loses its meaning.
-  if (GetEnvIntOr("HTA_WARM_CACHE", 1) == 0) {
-    GTEST_SKIP() << "HTA_WARM_CACHE=0 forces the cold path everywhere";
-  }
   const ChurnCase churn = GetParam();
 
   CatalogOptions catalog_options;

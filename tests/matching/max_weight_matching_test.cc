@@ -153,7 +153,8 @@ TEST(TaskGraphMatchingTest, CompleteGraphCoversAllButOneOnOddN) {
     tasks.emplace_back(i, std::move(v));
   }
   const TaskDistanceOracle oracle(&tasks, DistanceKind::kJaccard);
-  const GraphMatching m = GreedyMatchingOnTaskGraph(oracle);
+  const GraphMatching m =
+      GreedyMaxWeightMatching(oracle.task_count(), BuildDiversityEdges(oracle));
   // With distinct random tasks nearly all pairwise distances are
   // positive, so a near-perfect matching (3 pairs of 7 vertices) exists.
   EXPECT_EQ(m.edges.size(), 3u);
