@@ -67,13 +67,20 @@ int main() {
                     exact_profit > 0.0
                         ? FmtDouble(s.profit / exact_profit, 4)
                         : "-",
-                    FmtDouble(ms, 1)});
+                    FmtDouble(ms, 2)});
+      bench::AppendBenchJson(
+          "ablation_lsap_solvers",
+          {{"n", bench::JsonNum(static_cast<double>(dim))},
+           {"solver", bench::JsonStr(name)},
+           {"profit", bench::JsonNum(s.profit)}},
+          ms / 1000.0);
     };
     run("jv (exact)", [&] { return SolveLsapJv(dim, profit); });
     run("hungarian (exact)", [&] { return SolveLsapHungarian(dim, dense); });
+    // What HTA-GRE runs: worker q's Xmax columns are one group.
     run("greedy (1/2)", [&] {
-      const std::vector<size_t> cols = view.WorkerColumns();
-      return SolveLsapGreedy(dim, profit, &cols);
+      return SolveLsapGreedy(dim, profit, problem->worker_count(),
+                             problem->xmax());
     });
     run("auction", [&] { return SolveLsapAuction(dim, dense); });
   }

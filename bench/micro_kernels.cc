@@ -97,7 +97,9 @@ void BM_LsapGreedy(benchmark::State& state) {
   std::vector<double> m(n * n);
   for (double& v : m) v = rng.NextDouble();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(SolveLsapGreedy(n, DenseProfit(n, &m)));
+    benchmark::DoNotOptimize(
+        SolveLsapGreedy(n, DenseProfit(n, &m), /*group_count=*/n,
+                        /*group_size=*/1));
   }
 }
 BENCHMARK(BM_LsapGreedy)->Arg(50)->Arg(100)->Arg(200);

@@ -72,6 +72,16 @@ class TabulatedAuxiliaryProfit {
   size_t worker_count_;
 };
 
+/// Fixed linear bounds over (0, 1] for the per-solve certified ratio:
+/// 0.05, 0.10, ..., 1.00.
+std::vector<double> CertifiedRatioBounds() {
+  std::vector<double> bounds(20);
+  for (size_t i = 0; i < bounds.size(); ++i) {
+    bounds[i] = static_cast<double>(i + 1) / 20.0;
+  }
+  return bounds;
+}
+
 /// Tracks clique membership during the best-of-two swap pass so that
 /// objective deltas are O(Xmax) per candidate swap.
 class CliqueMembership {
@@ -162,6 +172,8 @@ Result<HtaSolveResult> SolveHta(const HtaProblem& problem,
                                          metrics::LatencyBucketsSeconds());
   static metrics::Histogram solve_latency("solver.total_seconds",
                                           metrics::LatencyBucketsSeconds());
+  static metrics::Histogram certified_ratio("solver.certified_ratio",
+                                            CertifiedRatioBounds());
   trace::PhaseSpan solve_span("solver.solve", &solve_latency);
   solves.Add();
   WallTimer total_timer;
@@ -210,11 +222,11 @@ Result<HtaSolveResult> SolveHta(const HtaProblem& problem,
       case LsapMethod::kExactJv:
         lsap = SolveLsapJv(n, profit);
         break;
-      case LsapMethod::kGreedy: {
-        const std::vector<size_t> worker_cols = view.WorkerColumns();
-        lsap = SolveLsapGreedy(n, profit, &worker_cols);
+      case LsapMethod::kGreedy:
+        // Worker q's Xmax columns share one profit per task.
+        lsap = SolveLsapGreedy(n, profit, problem.worker_count(),
+                               problem.xmax());
         break;
-      }
       case LsapMethod::kExactStructured: {
         const std::vector<size_t> worker_cols = view.WorkerColumns();
         lsap = SolveLsapStructured(n, profit, worker_cols);
@@ -272,6 +284,7 @@ Result<HtaSolveResult> SolveHta(const HtaProblem& problem,
                               ? stats.qap_objective /
                                     stats.optimum_upper_bound
                               : 1.0;
+  certified_ratio.Observe(stats.certified_ratio);
   stats.total_seconds = total_timer.ElapsedSeconds();
   result.stats = stats;
 

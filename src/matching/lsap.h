@@ -2,12 +2,16 @@
 #define HTA_MATCHING_LSAP_H_
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "matching/matching_types.h"
+#include "matching/radix_order.h"
 #include "util/check.h"
 
 namespace hta {
@@ -25,8 +29,10 @@ namespace hta {
 ///                         potentials; slower, used as an independent
 ///                         reference implementation in tests.
 ///  * SolveLsapGreedy    — the paper's GREEDYMATCHING on the complete
-///                         bipartite LSAP graph: 1/2-approximation in
-///                         O(n^2 log n); this is the HTA-GRE phase.
+///                         bipartite LSAP graph: 1/2-approximation,
+///                         capacity-aware over groups of identical
+///                         columns, O(n * groups) with a radix order;
+///                         this is the HTA-GRE phase.
 ///  * SolveLsapAuction   — Bertsekas auction with epsilon scaling;
 ///                         near-optimal heuristic, ablation A1 only.
 ///
@@ -240,60 +246,62 @@ LsapSolution SolveLsapJv(size_t n, const ProfitFn& profit) {
   return lsap_internal::FinishSolution(std::move(rowsol), n, total);
 }
 
-/// The paper's greedy LSAP (Section IV-C): treat the LSAP as a maximum
-/// weight perfect matching on the complete bipartite graph and run
-/// GREEDYMATCHING — pick the globally heaviest free (row, col) pair,
-/// repeat. 1/2-approximation; O(n^2 log n).
+/// The paper's greedy LSAP (Section IV-C): GREEDYMATCHING on the
+/// complete bipartite LSAP graph, 1/2-approximation. Capacity-aware:
+/// columns [0, group_count * group_size) form `group_count` groups of
+/// `group_size` consecutive columns. Requires profits >= 0, one profit
+/// per (row, group) shared by the group's columns, zero profit outside
+/// the groups, and group_count * group_size <= n.
 ///
-/// Requires profits >= 0. Only strictly-positive entries need sorting:
-/// once they are exhausted, any completion of the permutation adds zero
-/// profit, so remaining rows take remaining columns in index order
-/// (deterministic). When `positive_cols` is non-null it must list every
-/// column that contains a positive profit; passing it narrows the sort
-/// from n^2 to n * |positive_cols| entries — the structured fast path
-/// used by HTA-GRE, where only worker-clique columns carry profit.
+/// Positive (row, group) pairs, read at the group's first column, are
+/// taken in (float(profit) desc, row asc, group asc) order; a pair is
+/// accepted while its row is free and its group has room, and takes
+/// column g * group_size + used_g. The scan stops once every group
+/// column is used; leftover rows take the remaining columns in index
+/// order. Because a group fills its columns in ascending order, this is
+/// the column-level greedy over (float(profit) desc, row asc, col asc),
+/// bit for bit (row_to_col and profit summation order). HTA-GRE passes
+/// (|W|, Xmax); an unstructured profit passes (n, 1). Pairs are emitted
+/// row-major, so a stable RadixOrderByWeight gives the full tie order.
+/// O(n * group_count) time and memory.
 template <typename ProfitFn>
 LsapSolution SolveLsapGreedy(size_t n, const ProfitFn& profit,
-                             const std::vector<size_t>* positive_cols =
-                                 nullptr) {
-  struct Entry {
-    float w;
+                             size_t group_count, size_t group_size) {
+  HTA_CHECK_LE(group_count * group_size, n);
+  struct Pair {
+    float weight;
     uint32_t row;
-    uint32_t col;
+    uint32_t group;
   };
-  std::vector<Entry> entries;
-  auto scan_col = [&](size_t j) {
-    for (size_t i = 0; i < n; ++i) {
-      const double p = profit(i, j);
+  std::vector<Pair> pairs;
+  pairs.reserve(n * group_count);
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t g = 0; g < group_count; ++g) {
+      const double p = profit(i, g * group_size);
       HTA_DCHECK_GE(p, 0.0);
       if (p > 0.0) {
-        entries.push_back(Entry{static_cast<float>(p),
-                                static_cast<uint32_t>(i),
-                                static_cast<uint32_t>(j)});
+        pairs.push_back(Pair{static_cast<float>(p), static_cast<uint32_t>(i),
+                             static_cast<uint32_t>(g)});
       }
     }
-  };
-  if (positive_cols != nullptr) {
-    for (size_t j : *positive_cols) scan_col(j);
-  } else {
-    for (size_t j = 0; j < n; ++j) scan_col(j);
   }
-  std::sort(entries.begin(), entries.end(), [](const Entry& a,
-                                               const Entry& b) {
-    if (a.w != b.w) return a.w > b.w;
-    if (a.row != b.row) return a.row < b.row;
-    return a.col < b.col;
-  });
+  std::unique_ptr<std::byte[]> scratch;
+  const std::span<const Pair> order =
+      RadixOrderByWeight(std::span<Pair>(pairs), &scratch);
 
   std::vector<int32_t> row_to_col(n, -1);
   std::vector<bool> col_used(n, false);
+  std::vector<size_t> used(group_count, 0);
+  size_t free_group_cols = group_count * group_size;
   double total = 0.0;
-  for (const Entry& e : entries) {
-    if (row_to_col[e.row] == -1 && !col_used[e.col]) {
-      row_to_col[e.row] = static_cast<int32_t>(e.col);
-      col_used[e.col] = true;
-      total += profit(e.row, e.col);
-    }
+  for (const Pair& p : order) {
+    if (free_group_cols == 0) break;
+    if (row_to_col[p.row] != -1 || used[p.group] == group_size) continue;
+    const size_t col = p.group * group_size + used[p.group]++;
+    row_to_col[p.row] = static_cast<int32_t>(col);
+    col_used[col] = true;
+    --free_group_cols;
+    total += profit(p.row, col);
   }
   // Complete the permanent with zero-profit pairs, in index order.
   size_t next_col = 0;

@@ -1,14 +1,13 @@
 #include "matching/max_weight_matching.h"
 
 #include <algorithm>
-#include <array>
-#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <new>
-#include <utility>
+#include <span>
 
+#include "matching/radix_order.h"
 #include "util/check.h"
 #include "util/parallel.h"
 
@@ -23,14 +22,6 @@ bool EdgeHeavier(const WeightedEdge& a, const WeightedEdge& b) {
   if (a.weight != b.weight) return a.weight > b.weight;
   if (a.u != b.u) return a.u < b.u;
   return a.v < b.v;
-}
-
-/// Order-preserving 32-bit image of a weight, inverted so that the
-/// heaviest edges get the smallest keys. -0.0f is canonicalized to
-/// +0.0f because EdgeHeavier treats the two as equal.
-uint32_t HeavierFirstKey(float weight) {
-  const uint32_t bits = std::bit_cast<uint32_t>(weight + 0.0f);
-  return ~((bits & 0x80000000u) != 0 ? ~bits : bits | 0x80000000u);
 }
 
 GraphMatching MakeEmptyMatching(size_t vertex_count) {
@@ -53,32 +44,9 @@ GraphMatching GreedyMaxWeightMatching(size_t vertex_count,
                                       size_t /*max_threads*/) {
   GraphMatching m = MakeEmptyMatching(vertex_count);
   const size_t n = edges.size();
-  if (n == 0) return m;
-  // Stable LSD radix sort on HeavierFirstKey: all four 8-bit digit
-  // histograms come from one read pass, a digit with a single bucket
-  // is skipped, and each remaining pass scatters between `edges` and
-  // one uninitialized scratch buffer of |E| edges.
-  std::array<std::array<size_t, 256>, 4> counts{};
-  for (const WeightedEdge& e : edges) {
-    const uint32_t key = HeavierFirstKey(e.weight);
-    for (size_t d = 0; d < 4; ++d) ++counts[d][(key >> (8 * d)) & 0xFF];
-  }
-  const auto scratch =
-      std::make_unique_for_overwrite<std::byte[]>(n * sizeof(WeightedEdge));
-  WeightedEdge* src = edges.data();
-  WeightedEdge* dst = reinterpret_cast<WeightedEdge*>(scratch.get());
-  for (size_t d = 0; d < 4; ++d) {
-    const uint32_t shift = static_cast<uint32_t>(8 * d);
-    std::array<size_t, 256>& next = counts[d];
-    if (next[(HeavierFirstKey(src[0].weight) >> shift) & 0xFF] == n) continue;
-    size_t offset = 0;
-    for (size_t& c : next) offset += std::exchange(c, offset);
-    for (size_t i = 0; i < n; ++i) {
-      const uint32_t digit = (HeavierFirstKey(src[i].weight) >> shift) & 0xFF;
-      ::new (dst + next[digit]++) WeightedEdge(src[i]);
-    }
-    std::swap(src, dst);
-  }
+  std::unique_ptr<std::byte[]> scratch;
+  WeightedEdge* const src =
+      RadixOrderByWeight(std::span<WeightedEdge>(edges), &scratch).data();
   // Each run of equal weights now holds its edges in input order;
   // sorting a run by (u, v) where that order differs yields exactly the
   // EdgeHeavier order. Runs are fixed lazily, just before they are

@@ -14,7 +14,8 @@ namespace hta {
 ///
 /// Edges are taken in the strict order (weight desc, u asc, v asc), for
 /// any input order, so results are reproducible across runs and
-/// platforms. The order comes from a stable LSD radix sort on an
+/// platforms. The order comes from RadixOrderByWeight
+/// (matching/radix_order.h), a stable LSD radix sort on an
 /// order-preserving 32-bit image of the weight (-0.0f counts as +0.0f):
 /// at most four O(|E|) passes through one |E|-edge scratch buffer,
 /// instead of an O(|E| log |E|) comparison sort. Each run of equal

@@ -94,7 +94,8 @@ class QapView {
   }
 
   /// The columns that can carry non-zero profit — the worker-clique
-  /// columns [0, |W| * Xmax). Used by the greedy LSAP fast path.
+  /// columns [0, |W| * Xmax). The structured exact LSAP (HTA-APP+rect)
+  /// restricts its rectangular solve to them.
   std::vector<size_t> WorkerColumns() const;
 
   /// The MAXQAP objective of a permutation pi (task k -> vertex pi(k)):

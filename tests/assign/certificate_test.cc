@@ -1,10 +1,14 @@
 // Tests for the per-instance optimality certificate (Theorem 4 /
 // Eq. 18): solver stats carry an upper bound on the true optimum and a
 // certified achieved-fraction.
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "assign/brute_force.h"
 #include "assign/hta_solver.h"
+#include "util/metrics.h"
 #include "util/rng.h"
 
 namespace hta {
@@ -128,6 +132,49 @@ TEST(CertificateTest, StructuredExactMatchesJvBound) {
   EXPECT_NEAR(rect->stats.optimum_upper_bound,
               jv->stats.optimum_upper_bound, 1e-6)
       << "both exact solvers must certify the same bound";
+}
+
+TEST(CertificateTest, CertifiedRatioIsRecordedPerSolve) {
+  // Every SolveHta records its certified ratio in one histogram with
+  // fixed linear bounds over (0, 1], so the quality series is counted
+  // exactly like the solves themselves.
+  metrics::OverrideEnabled(true);
+  metrics::ResetForTesting();
+  double ratio_sum = 0.0;
+  size_t solves = 0;
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    const Fixture f = RandomFixture(30, 3, seed);
+    auto problem = HtaProblem::Create(&f.tasks, &f.workers, 4);
+    ASSERT_TRUE(problem.ok());
+    for (LsapMethod lsap : {LsapMethod::kExactJv, LsapMethod::kGreedy,
+                            LsapMethod::kExactStructured}) {
+      HtaSolverOptions options;
+      options.lsap = lsap;
+      auto result = SolveHta(*problem, options);
+      ASSERT_TRUE(result.ok());
+      ratio_sum += result->stats.certified_ratio;
+      ++solves;
+    }
+  }
+  uint64_t solver_solves = 0;
+  const metrics::MetricValue* ratio = nullptr;
+  const std::vector<metrics::MetricValue> snapshot = metrics::Snapshot();
+  for (const metrics::MetricValue& v : snapshot) {
+    if (v.name == "solver.solves") solver_solves = v.count;
+    if (v.name == "solver.certified_ratio") ratio = &v;
+  }
+  metrics::ResetForTesting();
+  metrics::OverrideEnabled(false);
+
+  ASSERT_NE(ratio, nullptr);
+  EXPECT_EQ(solver_solves, solves);
+  EXPECT_EQ(ratio->count, solver_solves);
+  ASSERT_EQ(ratio->bounds.size(), 20u);
+  for (size_t i = 0; i < ratio->bounds.size(); ++i) {
+    EXPECT_DOUBLE_EQ(ratio->bounds[i], 0.05 * static_cast<double>(i + 1));
+  }
+  EXPECT_EQ(ratio->bucket_counts.back(), 0u) << "a ratio above 1";
+  EXPECT_NEAR(ratio->sum, ratio_sum, 1e-12);
 }
 
 }  // namespace

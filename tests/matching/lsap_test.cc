@@ -136,7 +136,7 @@ TEST(LsapGreedyTest, IsValidAndHalfOptimal) {
   for (int trial = 0; trial < 60; ++trial) {
     const size_t n = 2 + rng.NextBounded(6);
     const auto m = RandomProfitMatrix(n, &rng);
-    const LsapSolution greedy = SolveLsapGreedy(n, DenseProfit(n, &m));
+    const LsapSolution greedy = SolveLsapGreedy(n, DenseProfit(n, &m), n, 1);
     ExpectPermutation(greedy, n);
     const double opt = BruteForceLsap(n, m);
     EXPECT_GE(greedy.profit + 1e-9, 0.5 * opt);
@@ -146,18 +146,25 @@ TEST(LsapGreedyTest, IsValidAndHalfOptimal) {
 }
 
 TEST(LsapGreedyTest, ColumnHintMatchesFullScan) {
-  // When the hint lists exactly the positive columns, results must be
-  // identical to the unhinted greedy.
+  // When the (group_count, group_size) hint covers exactly the positive
+  // columns and each group repeats one profit per row, results must be
+  // identical to the unhinted (n, 1) greedy.
   Rng rng(6);
   const size_t n = 40;
+  const size_t group_count = 4;
+  const size_t group_size = 3;
   std::vector<double> m(n * n, 0.0);
-  std::vector<size_t> positive_cols{3, 11, 17, 29};
-  for (size_t j : positive_cols) {
-    for (size_t i = 0; i < n; ++i) m[i * n + j] = rng.NextDouble();
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t g = 0; g < group_count; ++g) {
+      const double p = rng.NextDouble();
+      for (size_t j = g * group_size; j < (g + 1) * group_size; ++j) {
+        m[i * n + j] = p;
+      }
+    }
   }
-  const LsapSolution full = SolveLsapGreedy(n, DenseProfit(n, &m));
+  const LsapSolution full = SolveLsapGreedy(n, DenseProfit(n, &m), n, 1);
   const LsapSolution hinted =
-      SolveLsapGreedy(n, DenseProfit(n, &m), &positive_cols);
+      SolveLsapGreedy(n, DenseProfit(n, &m), group_count, group_size);
   EXPECT_NEAR(full.profit, hinted.profit, 1e-12);
   EXPECT_EQ(full.row_to_col, hinted.row_to_col);
 }
@@ -166,7 +173,7 @@ TEST(LsapGreedyTest, GreedyPicksGloballyHeaviestEdgeFirst) {
   // 2x2 where greedy and optimal differ: greedy takes 10 (0,0), then
   // forced (1,1) = 1 → 11; optimal is 9 + 8 = 17.
   std::vector<double> m{10, 9, 8, 1};
-  const LsapSolution greedy = SolveLsapGreedy(2, DenseProfit(2, &m));
+  const LsapSolution greedy = SolveLsapGreedy(2, DenseProfit(2, &m), 2, 1);
   EXPECT_DOUBLE_EQ(greedy.profit, 11.0);
   const LsapSolution exact = SolveLsapJv(2, DenseProfit(2, &m));
   EXPECT_DOUBLE_EQ(exact.profit, 17.0);

@@ -3,7 +3,9 @@
 
 Usage:
     tools/bench_diff.py --fresh bench-smoke.json [--threshold 3.5]
-                        BENCH_ENGINE.json BENCH_KERNELS.json ...
+                        BENCH_ENGINE.json BENCH_KERNELS.json
+                        BENCH_LOCAL_SEARCH.json BENCH_LSAP.json
+                        BENCH_MATCHING.json BENCH_SERVICE.json
 
 Every record is a JSON-lines row written by bench::AppendBenchJson:
 
