@@ -124,7 +124,8 @@ int main() {
   add_row("qap objective", obj_serial_s, obj_parallel_s,
           obj_serial == obj_parallel);
 
-  // End-to-end HTA-APP (matching + tabulated-profit JV + extraction).
+  // End-to-end HTA-APP (matching + tabulated-profit exact LSAP +
+  // extraction).
   HtaSolverOptions options;
   options.lsap = LsapMethod::kExactJv;
   options.seed = 42;

@@ -80,17 +80,6 @@ void BM_GreedyMatching(benchmark::State& state) {
 }
 BENCHMARK(BM_GreedyMatching)->Arg(100)->Arg(200)->Arg(400);
 
-void BM_LsapJv(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  Rng rng(5);
-  std::vector<double> m(n * n);
-  for (double& v : m) v = rng.NextDouble();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(SolveLsapJv(n, DenseProfit(n, &m)));
-  }
-}
-BENCHMARK(BM_LsapJv)->Arg(50)->Arg(100)->Arg(200);
-
 void BM_LsapGreedy(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   Rng rng(5);
@@ -104,22 +93,28 @@ void BM_LsapGreedy(benchmark::State& state) {
 }
 BENCHMARK(BM_LsapGreedy)->Arg(50)->Arg(100)->Arg(200);
 
-void BM_LsapStructured(benchmark::State& state) {
-  // HTA-shaped instance: profits confined to the first n/4 columns.
+void BM_LsapExact(benchmark::State& state) {
+  // HTA-shaped instance: n / 40 groups of 10 columns (|W| workers of
+  // Xmax = 10), one random profit per (row, group).
   const size_t n = static_cast<size_t>(state.range(0));
+  const size_t group_count = n / 40;
+  const size_t group_size = 10;
   Rng rng(5);
   std::vector<double> m(n * n, 0.0);
-  std::vector<size_t> cols;
-  for (size_t j = 0; j < n / 4; ++j) {
-    cols.push_back(j);
-    for (size_t i = 0; i < n; ++i) m[i * n + j] = rng.NextDouble();
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t g = 0; g < group_count; ++g) {
+      const double p = rng.NextDouble();
+      for (size_t j = 0; j < group_size; ++j) {
+        m[i * n + g * group_size + j] = p;
+      }
+    }
   }
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        SolveLsapStructured(n, DenseProfit(n, &m), cols));
+        SolveLsapExact(n, DenseProfit(n, &m), group_count, group_size));
   }
 }
-BENCHMARK(BM_LsapStructured)->Arg(100)->Arg(200)->Arg(400);
+BENCHMARK(BM_LsapExact)->Arg(200)->Arg(400)->Arg(800);
 
 /// Fixture for the delta-evaluation kernels: a 256-task catalog, 8
 /// workers, and an assignment whose bundles hold `bundle_size` tasks

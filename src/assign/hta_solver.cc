@@ -1,6 +1,7 @@
 #include "assign/hta_solver.h"
 
 #include <algorithm>
+#include <span>
 #include <utility>
 
 #include "assign/auditor.h"
@@ -16,40 +17,44 @@ namespace hta {
 namespace {
 
 /// The auxiliary LSAP profit f_{k,l} = bM(t_k) * degA_l + c_{k,l}
-/// (Algorithm 1, Line 10), backed by per-worker tables. Both degA_l and
+/// (Algorithm 1, Line 10), tabulated once per solve. Both degA_l and
 /// c_{k,l} depend on the column l only through the worker clique
-/// q = l / Xmax, so an n x |W| relevance-profit table plus a |W| degree
-/// table replace the per-probe Relevance() evaluation that the LSAP
-/// solvers would otherwise repeat (O(n^3) probes for JV). The table
-/// comes from one batched rectangular relevance sweep; its entries use
-/// exactly the arithmetic of QapView::C / DegA, so profits are
-/// bit-identical to evaluating the view entry by entry.
+/// q = l / Xmax, so one n x |W| table replaces per-probe Relevance()
+/// evaluation; it is worker-major, so the exact LSAP scans worker q's
+/// profits as one contiguous column, and the greedy LSAP reads it
+/// through operator(). The c part comes from one batched rectangular
+/// relevance sweep; entries use exactly the arithmetic of
+/// QapView::C / DegA, so profits are bit-identical to evaluating the
+/// view entry by entry.
 class TabulatedAuxiliaryProfit {
  public:
-  TabulatedAuxiliaryProfit(const QapView& view, const std::vector<double>* bm,
+  TabulatedAuxiliaryProfit(const QapView& view, const std::vector<double>& bm,
                            size_t max_threads)
-      : bm_(bm),
-        xmax_(view.problem().xmax()),
-        task_count_(view.task_count()),
+      : xmax_(view.problem().xmax()),
+        n_(view.n()),
         worker_count_(view.problem().worker_count()) {
-    deg_a_.resize(worker_count_);
+    std::vector<double> deg_a(worker_count_);
     for (size_t q = 0; q < worker_count_; ++q) {
-      deg_a_[q] = view.DegA(q * xmax_);
+      deg_a[q] = view.DegA(q * xmax_);
     }
     // c_{k, q*xmax} = beta_q * rel(k, q) * (xmax - 1), with the same
-    // left-to-right multiplication chain as QapView::C.
+    // left-to-right multiplication chain as QapView::C; padding rows
+    // have c = 0.
     const HtaProblem& problem = view.problem();
+    const size_t task_count = view.task_count();
     std::vector<double> rel;
     problem.FillRelevanceTable(&rel, max_threads);
     const double norm = static_cast<double>(xmax_) - 1.0;
-    c_table_.resize(task_count_ * worker_count_);
+    profit_.resize(worker_count_ * n_);
     ParallelFor(
-        0, task_count_, /*grain=*/64,
+        0, n_, /*grain=*/64,
         [&](size_t k) {
           for (size_t q = 0; q < worker_count_; ++q) {
-            c_table_[k * worker_count_ + q] =
-                problem.workers()[q].weights().beta *
-                rel[k * worker_count_ + q] * norm;
+            const double c = k < task_count
+                                 ? problem.workers()[q].weights().beta *
+                                       rel[k * worker_count_ + q] * norm
+                                 : 0.0;
+            profit_[q * n_ + k] = bm[k] * deg_a[q] + c;
           }
         },
         max_threads);
@@ -58,17 +63,16 @@ class TabulatedAuxiliaryProfit {
   double operator()(size_t k, size_t l) const {
     const size_t q = l / xmax_;
     if (q >= worker_count_) return 0.0;  // Isolated column: degA = c = 0.
-    const double c =
-        k < task_count_ ? c_table_[k * worker_count_ + q] : 0.0;
-    return (*bm_)[k] * deg_a_[q] + c;
+    return profit_[q * n_ + k];
   }
 
+  /// f_{k, q*Xmax} at [q * n + k].
+  std::span<const double> worker_major() const { return profit_; }
+
  private:
-  std::vector<double> deg_a_;   // degA on worker q's columns.
-  std::vector<double> c_table_; // c_{k,l} for l in worker q's clique.
-  const std::vector<double>* bm_;
+  std::vector<double> profit_;
   size_t xmax_;
-  size_t task_count_;
+  size_t n_;
   size_t worker_count_;
 };
 
@@ -217,21 +221,18 @@ Result<HtaSolveResult> SolveHta(const HtaProblem& problem,
   LsapSolution lsap;
   {
     trace::PhaseSpan lsap_span("solver.lsap", &lsap_latency);
-    const TabulatedAuxiliaryProfit profit(view, &bm, options.threads);
+    const TabulatedAuxiliaryProfit profit(view, bm, options.threads);
+    // Worker q's Xmax columns share one profit per task.
     switch (options.lsap) {
       case LsapMethod::kExactJv:
-        lsap = SolveLsapJv(n, profit);
+        lsap = SolveLsapExactGroupMajor(n, profit.worker_major(),
+                                        problem.worker_count(),
+                                        problem.xmax());
         break;
       case LsapMethod::kGreedy:
-        // Worker q's Xmax columns share one profit per task.
         lsap = SolveLsapGreedy(n, profit, problem.worker_count(),
                                problem.xmax());
         break;
-      case LsapMethod::kExactStructured: {
-        const std::vector<size_t> worker_cols = view.WorkerColumns();
-        lsap = SolveLsapStructured(n, profit, worker_cols);
-        break;
-      }
     }
   }
   stats.lsap_seconds = phase_timer.ElapsedSeconds();
@@ -353,9 +354,6 @@ std::string SolverName(const HtaSolverOptions& options) {
       break;
     case LsapMethod::kGreedy:
       name = "hta-gre";
-      break;
-    case LsapMethod::kExactStructured:
-      name = "hta-app+rect";
       break;
   }
   if (options.matching == MatchingMethod::kPathGrowing) name += "+pg";

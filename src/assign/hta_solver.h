@@ -16,13 +16,13 @@ namespace hta {
 
 /// Which LSAP solver runs in the second phase (Algorithm 1/2, Line 11).
 enum class LsapMethod {
-  kExactJv,          ///< Jonker-Volgenant exact solve: HTA-APP (1/4-approx).
-  kGreedy,           ///< Greedy bipartite matching: HTA-GRE (1/8-approx).
-  kExactStructured,  ///< Rectangular exact solve over the profitable
-                     ///< (worker-clique) columns only — same optimum and
-                     ///< approximation factor as kExactJv, but O(m^2 n)
-                     ///< for m = |W| * Xmax instead of O(n^3). An
-                     ///< extension beyond the paper (ablation A6).
+  /// Exact solve: HTA-APP (1/4-approx). SolveLsapExactGroupMajor runs
+  /// the LSAP as a |T| x |W| transportation problem; the paper pays a
+  /// square Hungarian solve for the same optimum. The name predates
+  /// that solver; it stays until perfbench/offline.cc, which names it,
+  /// is next changed.
+  kExactJv,
+  kGreedy,  ///< Greedy bipartite matching: HTA-GRE (1/8-approx).
 };
 
 /// Which matching algorithm builds M_B (Line 2). Both are
@@ -94,8 +94,9 @@ struct HtaSolveResult {
 Result<HtaSolveResult> SolveHta(const HtaProblem& problem,
                                 const HtaSolverOptions& options);
 
-/// HTA-APP (Algorithm 1): exact LSAP via Jonker-Volgenant. O(|T|^3),
-/// 1/4-approximation.
+/// HTA-APP (Algorithm 1): exact auxiliary LSAP, 1/4-approximation. The
+/// paper's square Hungarian phase is O(|T|^3); SolveLsapExact reaches
+/// the same optimum in O(|W|^2 * Xmax * |T|).
 Result<HtaSolveResult> SolveHtaApp(const HtaProblem& problem,
                                    uint64_t seed = 42);
 

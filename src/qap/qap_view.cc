@@ -24,14 +24,6 @@ QapView::QapView(const HtaProblem* problem) : problem_(problem) {
                 problem->worker_count() * problem->xmax());
 }
 
-std::vector<size_t> QapView::WorkerColumns() const {
-  const size_t count =
-      std::min(n_, problem_->worker_count() * problem_->xmax());
-  std::vector<size_t> cols(count);
-  for (size_t l = 0; l < count; ++l) cols[l] = l;
-  return cols;
-}
-
 double QapView::Objective(const std::vector<int32_t>& perm,
                           size_t max_threads) const {
   HTA_CHECK_EQ(perm.size(), n_);

@@ -93,11 +93,6 @@ class QapView {
            (static_cast<double>(problem_->xmax()) - 1.0);
   }
 
-  /// The columns that can carry non-zero profit — the worker-clique
-  /// columns [0, |W| * Xmax). The structured exact LSAP (HTA-APP+rect)
-  /// restricts its rectangular solve to them.
-  std::vector<size_t> WorkerColumns() const;
-
   /// The MAXQAP objective of a permutation pi (task k -> vertex pi(k)):
   ///   sum_{k != l} a_{pi(k),pi(l)} b_{k,l} + sum_k c_{k,pi(k)}
   /// Computed per worker clique in O(|W| * Xmax^2 + n). The linear

@@ -188,16 +188,13 @@ TEST_P(SolverEquivalence, SolveHtaBitIdenticalSerialVsParallel) {
 
 INSTANTIATE_TEST_SUITE_P(AllLsapMethods, SolverEquivalence,
                          ::testing::Values(LsapMethod::kExactJv,
-                                           LsapMethod::kGreedy,
-                                           LsapMethod::kExactStructured),
+                                           LsapMethod::kGreedy),
                          [](const ::testing::TestParamInfo<LsapMethod>& info) {
                            switch (info.param) {
                              case LsapMethod::kExactJv:
                                return "jv";
                              case LsapMethod::kGreedy:
                                return "greedy";
-                             case LsapMethod::kExactStructured:
-                               return "rect";
                            }
                            return "unknown";
                          });

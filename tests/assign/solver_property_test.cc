@@ -3,17 +3,35 @@
 // must produce a feasible, deterministic, certificate-consistent
 // assignment. This is the regression net that keeps the solver matrix
 // honest as variants are added.
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "assign/hta_solver.h"
+#include "matching/lsap.h"
+#include "qap/qap_view.h"
+#include "reference/auxiliary_profit.h"
+#include "reference/lsap_jv.h"
 #include "util/rng.h"
 
 namespace hta {
 namespace {
 
+/// The LSAP axis of the sweep. kJv and kGreedy run the two
+/// LsapMethods; kRect runs the exact method again and also pins its
+/// rectangular (task, worker) LSAP optimum against the square JV
+/// reference on the same auxiliary profit.
+enum class LsapArm { kJv, kGreedy, kRect };
+
+LsapMethod ArmMethod(LsapArm arm) {
+  return arm == LsapArm::kGreedy ? LsapMethod::kGreedy : LsapMethod::kExactJv;
+}
+
 struct SweepCase {
   DistanceKind metric;
-  LsapMethod lsap;
+  LsapArm lsap;
   SwapMode swap;
   size_t tasks;
   size_t workers;
@@ -25,13 +43,13 @@ std::string CaseName(const ::testing::TestParamInfo<SweepCase>& info) {
   const SweepCase& c = info.param;
   std::string lsap;
   switch (c.lsap) {
-    case LsapMethod::kExactJv:
+    case LsapArm::kJv:
       lsap = "jv";
       break;
-    case LsapMethod::kGreedy:
+    case LsapArm::kGreedy:
       lsap = "greedy";
       break;
-    case LsapMethod::kExactStructured:
+    case LsapArm::kRect:
       lsap = "rect";
       break;
   }
@@ -91,7 +109,7 @@ TEST_P(SolverSweep, FeasibleDeterministicAndCertified) {
   ASSERT_TRUE(problem.ok()) << problem.status();
 
   HtaSolverOptions options;
-  options.lsap = c.lsap;
+  options.lsap = ArmMethod(c.lsap);
   options.swap = c.swap;
   options.seed = c.seed * 31 + 1;
 
@@ -112,6 +130,15 @@ TEST_P(SolverSweep, FeasibleDeterministicAndCertified) {
             first->stats.qap_objective);
   EXPECT_GE(first->stats.certified_ratio, 0.0);
   EXPECT_LE(first->stats.certified_ratio, 1.0 + 1e-9);
+  if (c.lsap == LsapArm::kRect) {
+    const size_t n = QapView(&*problem).n();
+    const std::vector<double> profit =
+        reference::AuxiliaryProfitMatrix(*problem);
+    const double jv =
+        reference::SolveLsapJv(n, DenseProfit(n, &profit)).profit;
+    EXPECT_NEAR(first->stats.optimum_upper_bound, 2.0 * jv,
+                1e-9 * std::max(1.0, 2.0 * jv));
+  }
 
   // Objective bookkeeping: motivation <= QAP value of the permutation
   // (equal when every bundle is full and no padding exists).
@@ -135,8 +162,7 @@ std::vector<SweepCase> AllCases() {
   for (DistanceKind metric :
        {DistanceKind::kJaccard, DistanceKind::kHamming,
         DistanceKind::kCosineAngular, DistanceKind::kDice}) {
-    for (LsapMethod lsap : {LsapMethod::kExactJv, LsapMethod::kGreedy,
-                            LsapMethod::kExactStructured}) {
+    for (LsapArm lsap : {LsapArm::kJv, LsapArm::kGreedy, LsapArm::kRect}) {
       for (SwapMode swap :
            {SwapMode::kRandom, SwapMode::kBestOfTwo, SwapMode::kNone}) {
         // A comfortably-sized instance and a padded (scarce-task) one.

@@ -3,7 +3,8 @@
 // group_count, group_size) must reproduce the column-level greedy it
 // replaced — every (row, column) entry with positive profit, sorted by
 // (float weight desc, row asc, col asc), accepted while both ends are
-// free — in row_to_col and in the bits of the summed profit.
+// free (tests/reference/column_greedy_lsap.h) — in row_to_col and in
+// the bits of the summed profit.
 #include <algorithm>
 #include <bit>
 #include <cstddef>
@@ -14,73 +15,22 @@
 
 #include "assign/hta_solver.h"
 #include "matching/lsap.h"
-#include "matching/max_weight_matching.h"
 #include "qap/qap_view.h"
+#include "reference/auxiliary_profit.h"
+#include "reference/column_greedy_lsap.h"
 #include "util/rng.h"
 
 namespace hta {
 namespace {
 
-/// The column-level greedy over the listed columns (every column that
-/// can carry positive profit), completed in index order.
-template <typename ProfitFn>
-LsapSolution ColumnGreedyReference(size_t n, const ProfitFn& profit,
-                                   const std::vector<size_t>& positive_cols) {
-  struct Entry {
-    float w;
-    uint32_t row;
-    uint32_t col;
-  };
-  std::vector<Entry> entries;
-  for (size_t j : positive_cols) {
-    for (size_t i = 0; i < n; ++i) {
-      const double p = profit(i, j);
-      if (p > 0.0) {
-        entries.push_back(Entry{static_cast<float>(p),
-                                static_cast<uint32_t>(i),
-                                static_cast<uint32_t>(j)});
-      }
-    }
-  }
-  std::sort(entries.begin(), entries.end(),
-            [](const Entry& a, const Entry& b) {
-              if (a.w != b.w) return a.w > b.w;
-              if (a.row != b.row) return a.row < b.row;
-              return a.col < b.col;
-            });
-  LsapSolution s;
-  s.row_to_col.assign(n, -1);
-  std::vector<bool> col_used(n, false);
-  for (const Entry& e : entries) {
-    if (s.row_to_col[e.row] == -1 && !col_used[e.col]) {
-      s.row_to_col[e.row] = static_cast<int32_t>(e.col);
-      col_used[e.col] = true;
-      s.profit += profit(e.row, e.col);
-    }
-  }
-  size_t next_col = 0;
-  for (size_t i = 0; i < n; ++i) {
-    if (s.row_to_col[i] != -1) continue;
-    while (col_used[next_col]) ++next_col;
-    s.row_to_col[i] = static_cast<int32_t>(next_col);
-    col_used[next_col] = true;
-    s.profit += profit(i, next_col);
-  }
-  return s;
-}
-
-std::vector<size_t> FirstColumns(size_t count) {
-  std::vector<size_t> cols(count);
-  for (size_t j = 0; j < count; ++j) cols[j] = j;
-  return cols;
-}
+using reference::ColumnGreedyLsap;
 
 void ExpectSameSolution(const LsapSolution& grouped,
-                        const LsapSolution& reference) {
-  EXPECT_EQ(grouped.row_to_col, reference.row_to_col);
+                        const LsapSolution& expected) {
+  EXPECT_EQ(grouped.row_to_col, expected.row_to_col);
   EXPECT_EQ(std::bit_cast<uint64_t>(grouped.profit),
-            std::bit_cast<uint64_t>(reference.profit))
-      << grouped.profit << " vs " << reference.profit;
+            std::bit_cast<uint64_t>(expected.profit))
+      << grouped.profit << " vs " << expected.profit;
 }
 
 /// Row-major n x n matrix whose columns [0, group_count * group_size)
@@ -153,20 +103,13 @@ TEST(GreedyLsapEquivalenceTest, HtaAuxiliaryProfitsMatchColumnGreedy) {
         ASSERT_TRUE(problem.ok()) << problem.status();
         const QapView view(&*problem);
         const size_t n = view.n();
-        // The auxiliary profit f_{k,l} = bM(t_k) * degA_l + c_{k,l}.
-        const GraphMatching mb = GreedyMaxWeightMatching(
-            n, BuildDiversityEdges(problem->oracle()));
-        std::vector<double> bm(n, 0.0);
-        for (const auto& [u, v] : mb.edges) {
-          bm[u] = bm[v] = problem->oracle()(u, v);
-        }
-        const auto profit = [&](size_t k, size_t l) {
-          return bm[k] * view.DegA(l) + view.C(k, l);
-        };
-        const LsapSolution reference = ColumnGreedyReference(
-            n, profit, FirstColumns(shape.workers * xmax));
+        const std::vector<double> matrix =
+            reference::AuxiliaryProfitMatrix(*problem);
+        const DenseProfit profit(n, &matrix);
+        const LsapSolution expected =
+            ColumnGreedyLsap(n, profit, shape.workers * xmax);
         ExpectSameSolution(
-            SolveLsapGreedy(n, profit, shape.workers, xmax), reference);
+            SolveLsapGreedy(n, profit, shape.workers, xmax), expected);
 
         // SolveHta's greedy arm groups the columns the same way: with
         // no swap pass, its bundles are the reference permutation's.
@@ -176,7 +119,7 @@ TEST(GreedyLsapEquivalenceTest, HtaAuxiliaryProfitsMatchColumnGreedy) {
         auto solved = SolveHta(*problem, options);
         ASSERT_TRUE(solved.ok()) << solved.status();
         EXPECT_EQ(solved->assignment.bundles,
-                  ExtractAssignment(view, reference.row_to_col).bundles);
+                  ExtractAssignment(view, expected.row_to_col).bundles);
       }
     }
   }
@@ -206,8 +149,7 @@ TEST(GreedyLsapEquivalenceTest, HeavyTiesAndZeroRowsMatchColumnGreedy) {
     const DenseProfit profit(n, &m);
     ExpectSameSolution(
         SolveLsapGreedy(n, profit, group_count, group_size),
-        ColumnGreedyReference(n, profit,
-                              FirstColumns(group_count * group_size)));
+        ColumnGreedyLsap(n, profit, group_count * group_size));
   }
 }
 
@@ -222,7 +164,7 @@ TEST(GreedyLsapEquivalenceTest, DenseRandomProfitsWithUnitGroups) {
     SCOPED_TRACE(testing::Message() << "trial " << trial << " n=" << n);
     const DenseProfit profit(n, &m);
     ExpectSameSolution(SolveLsapGreedy(n, profit, n, 1),
-                       ColumnGreedyReference(n, profit, FirstColumns(n)));
+                       ColumnGreedyLsap(n, profit, n));
   }
 }
 

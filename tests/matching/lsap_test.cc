@@ -1,14 +1,21 @@
+// Unit tests for the two production LSAP solvers and for the test-only
+// JV reference that pins the exact one. Every solver is checked against
+// permutation enumeration at n <= 8.
 #include "matching/lsap.h"
 
 #include <algorithm>
 #include <numeric>
+#include <utility>
 
 #include <gtest/gtest.h>
 
+#include "reference/lsap_jv.h"
 #include "util/rng.h"
 
 namespace hta {
 namespace {
+
+using reference::SolveLsapJv;
 
 std::vector<double> RandomProfitMatrix(size_t n, Rng* rng,
                                        double scale = 1.0) {
@@ -85,27 +92,41 @@ TEST(LsapJvTest, MatchesBruteForceOnRandomInstances) {
   }
 }
 
-TEST(LsapHungarianTest, MatchesBruteForceOnRandomInstances) {
+TEST(LsapExactTest, MatchesBruteForceOnRandomInstances) {
   Rng rng(2);
   for (int trial = 0; trial < 60; ++trial) {
     const size_t n = 2 + rng.NextBounded(6);
     const auto m = RandomProfitMatrix(n, &rng);
-    const LsapSolution s = SolveLsapHungarian(n, m);
+    const LsapSolution s = SolveLsapExact(n, DenseProfit(n, &m), n, 1);
     ExpectPermutation(s, n);
     EXPECT_NEAR(s.profit, BruteForceLsap(n, m), 1e-9);
+    EXPECT_NEAR(s.profit, RecomputeProfit(s, n, m), 1e-9);
   }
 }
 
-TEST(LsapCrossCheckTest, JvEqualsHungarianOnLargerRandomInstances) {
+TEST(LsapExactTest, GroupedMatchesBruteForceOnRandomInstances) {
+  // One profit per (row, group), repeated over the group's columns; the
+  // columns past the groups are zero.
   Rng rng(3);
-  for (int trial = 0; trial < 10; ++trial) {
-    const size_t n = 20 + rng.NextBounded(60);
-    const auto m = RandomProfitMatrix(n, &rng, 10.0);
-    const LsapSolution jv = SolveLsapJv(n, DenseProfit(n, &m));
-    const LsapSolution hung = SolveLsapHungarian(n, m);
-    ExpectPermutation(jv, n);
-    ExpectPermutation(hung, n);
-    EXPECT_NEAR(jv.profit, hung.profit, 1e-6);
+  for (int trial = 0; trial < 60; ++trial) {
+    const size_t group_size = 1 + rng.NextBounded(3);
+    const size_t group_count = 1 + rng.NextBounded(8 / group_size);
+    const size_t n = group_count * group_size +
+                     rng.NextBounded(9 - group_count * group_size);
+    std::vector<double> m(n * n, 0.0);
+    for (size_t i = 0; i < n; ++i) {
+      for (size_t g = 0; g < group_count; ++g) {
+        const double p = rng.NextDouble();
+        for (size_t j = 0; j < group_size; ++j) {
+          m[i * n + g * group_size + j] = p;
+        }
+      }
+    }
+    const LsapSolution s =
+        SolveLsapExact(n, DenseProfit(n, &m), group_count, group_size);
+    ExpectPermutation(s, n);
+    EXPECT_NEAR(s.profit, BruteForceLsap(n, m), 1e-9)
+        << "n=" << n << " groups=" << group_count << "x" << group_size;
   }
 }
 
@@ -119,8 +140,9 @@ TEST(LsapCrossCheckTest, JvHandlesDegenerateZeroColumns) {
       for (size_t i = 0; i < n; ++i) m[i * n + j] = rng.NextDouble();
     }
     const LsapSolution jv = SolveLsapJv(n, DenseProfit(n, &m));
-    const LsapSolution hung = SolveLsapHungarian(n, m);
-    EXPECT_NEAR(jv.profit, hung.profit, 1e-9);
+    const LsapSolution exact = SolveLsapExact(n, DenseProfit(n, &m), 6, 1);
+    ExpectPermutation(jv, n);
+    EXPECT_NEAR(jv.profit, exact.profit, 1e-9);
   }
 }
 
@@ -175,50 +197,28 @@ TEST(LsapGreedyTest, GreedyPicksGloballyHeaviestEdgeFirst) {
   std::vector<double> m{10, 9, 8, 1};
   const LsapSolution greedy = SolveLsapGreedy(2, DenseProfit(2, &m), 2, 1);
   EXPECT_DOUBLE_EQ(greedy.profit, 11.0);
-  const LsapSolution exact = SolveLsapJv(2, DenseProfit(2, &m));
+  const LsapSolution exact = SolveLsapExact(2, DenseProfit(2, &m), 2, 1);
   EXPECT_DOUBLE_EQ(exact.profit, 17.0);
   EXPECT_GE(greedy.profit, 0.5 * exact.profit);
 }
 
-TEST(LsapAuctionTest, NearOptimalOnRandomInstances) {
-  Rng rng(7);
-  for (int trial = 0; trial < 20; ++trial) {
-    const size_t n = 2 + rng.NextBounded(10);
-    const auto m = RandomProfitMatrix(n, &rng, 5.0);
-    const LsapSolution auction = SolveLsapAuction(n, m);
-    ExpectPermutation(auction, n);
-    const LsapSolution exact = SolveLsapJv(n, DenseProfit(n, &m));
-    // Auction with epsilon scaling lands within n * eps_final of
-    // optimal; our eps_final = max/(4n) gives a max/4 additive bound,
-    // but in practice it is much tighter. Assert a conservative bound.
-    EXPECT_GE(auction.profit, exact.profit - 5.0 / 4.0 - 1e-9);
-    EXPECT_LE(auction.profit, exact.profit + 1e-9);
-  }
-}
-
-TEST(LsapAuctionTest, ExactOnWellSeparatedProfits) {
-  // Profits far apart relative to epsilon: auction is exact.
-  std::vector<double> m{100, 1, 1, 1, 100, 1, 1, 1, 100};
-  const LsapSolution s = SolveLsapAuction(3, m);
-  EXPECT_DOUBLE_EQ(s.profit, 300.0);
-}
+// The structured exact solver: profits confined to the column groups.
 
 TEST(LsapStructuredTest, MatchesJvOnZeroPaddedInstances) {
-  // Random profits confined to a column subset; every other column is
-  // zero — exactly the HTA structure. The structured solver must find
-  // the same optimal profit as the square exact solver.
+  // Random profits on the first m columns; every other column is zero
+  // — the HTA structure at Xmax = 1. The structured solve must find the
+  // square reference's optimal profit.
   Rng rng(11);
   for (int trial = 0; trial < 30; ++trial) {
     const size_t n = 10 + rng.NextBounded(40);
     const size_t m = 1 + rng.NextBounded(n / 2);
-    std::vector<size_t> cols = rng.SampleWithoutReplacement(n, m);
     std::vector<double> matrix(n * n, 0.0);
-    for (size_t j : cols) {
+    for (size_t j = 0; j < m; ++j) {
       for (size_t i = 0; i < n; ++i) matrix[i * n + j] = rng.NextDouble();
     }
     const DenseProfit profit(n, &matrix);
     const LsapSolution jv = SolveLsapJv(n, profit);
-    const LsapSolution structured = SolveLsapStructured(n, profit, cols);
+    const LsapSolution structured = SolveLsapExact(n, profit, m, 1);
     ExpectPermutation(structured, n);
     EXPECT_NEAR(structured.profit, jv.profit, 1e-9)
         << "n=" << n << " m=" << m;
@@ -230,20 +230,25 @@ TEST(LsapStructuredTest, MatchesJvOnZeroPaddedInstances) {
 TEST(LsapStructuredTest, EmptyColumnSetGivesIdentity) {
   std::vector<double> matrix(9, 0.0);
   const DenseProfit profit(3, &matrix);
-  const LsapSolution s = SolveLsapStructured(3, profit, {});
-  EXPECT_EQ(s.row_to_col, (std::vector<int32_t>{0, 1, 2}));
-  EXPECT_EQ(s.profit, 0.0);
+  for (const auto& [groups, size] : {std::pair<size_t, size_t>{0, 1},
+                                     std::pair<size_t, size_t>{2, 0}}) {
+    const LsapSolution s = SolveLsapExact(3, profit, groups, size);
+    EXPECT_EQ(s.row_to_col, (std::vector<int32_t>{0, 1, 2}));
+    EXPECT_EQ(s.profit, 0.0);
+  }
 }
 
 TEST(LsapStructuredTest, SingleProfitableColumnPicksBestRow) {
   std::vector<double> matrix(16, 0.0);
-  matrix[0 * 4 + 2] = 0.3;
-  matrix[1 * 4 + 2] = 0.9;  // Row 1 is the best match for column 2.
-  matrix[3 * 4 + 2] = 0.5;
+  matrix[0 * 4 + 0] = 0.3;
+  matrix[1 * 4 + 0] = 0.9;  // Row 1 is the best match for column 0.
+  matrix[3 * 4 + 0] = 0.5;
   const DenseProfit profit(4, &matrix);
-  const LsapSolution s = SolveLsapStructured(4, profit, {2});
+  const LsapSolution s = SolveLsapExact(4, profit, 1, 1);
   ExpectPermutation(s, 4);
-  EXPECT_EQ(s.row_to_col[1], 2);
+  EXPECT_EQ(s.row_to_col[1], 0);
+  // The other rows take columns 1, 2, 3 in index order.
+  EXPECT_EQ(s.row_to_col, (std::vector<int32_t>{1, 0, 2, 3}));
   EXPECT_DOUBLE_EQ(s.profit, 0.9);
 }
 
@@ -251,24 +256,22 @@ TEST(LsapStructuredTest, AllColumnsProfitableEqualsFullSolve) {
   Rng rng(13);
   const size_t n = 25;
   const auto matrix = RandomProfitMatrix(n, &rng);
-  std::vector<size_t> all_cols(n);
-  std::iota(all_cols.begin(), all_cols.end(), 0);
   const DenseProfit profit(n, &matrix);
   const LsapSolution full = SolveLsapJv(n, profit);
-  const LsapSolution structured = SolveLsapStructured(n, profit, all_cols);
+  const LsapSolution structured = SolveLsapExact(n, profit, n, 1);
   EXPECT_NEAR(structured.profit, full.profit, 1e-9);
 }
 
 TEST(LsapStructuredTest, MoreColumnsThanNeededStillExact) {
-  // m close to n with heavy ties; column 5 is all-zero per the
-  // structured solver's contract.
+  // Five profitable columns of six with heavy ties; column 5 is
+  // all-zero per the grouped contract.
   std::vector<double> matrix(36, 0.5);
   for (size_t i = 0; i < 6; ++i) {
     matrix[i * 6 + i] = 0.0;
     matrix[i * 6 + 5] = 0.0;
   }
   const DenseProfit profit(6, &matrix);
-  const LsapSolution s = SolveLsapStructured(6, profit, {0, 1, 2, 3, 4});
+  const LsapSolution s = SolveLsapExact(6, profit, 5, 1);
   ExpectPermutation(s, 6);
   // Optimal avoids all diagonal zeros on the 5 profitable columns.
   EXPECT_NEAR(s.profit, 2.5, 1e-9);

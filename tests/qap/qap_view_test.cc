@@ -124,16 +124,6 @@ TEST(QapViewTest, DegAMatchesRowSums) {
   }
 }
 
-TEST(QapViewTest, WorkerColumnsListsCliqueColumns) {
-  const Fixture f = RandomFixture(10, 2, 6);
-  auto problem = HtaProblem::Create(&f.tasks, &f.workers, 3);
-  ASSERT_TRUE(problem.ok());
-  const QapView view(&*problem);
-  const std::vector<size_t> cols = view.WorkerColumns();
-  ASSERT_EQ(cols.size(), 6u);
-  for (size_t i = 0; i < 6; ++i) EXPECT_EQ(cols[i], i);
-}
-
 TEST(QapViewTest, ImplicitObjectiveEqualsDenseObjective) {
   Rng rng(7);
   for (int trial = 0; trial < 10; ++trial) {

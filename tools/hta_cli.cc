@@ -7,7 +7,7 @@
 //       Generate a synthetic AMT-like catalog and worker population.
 //
 //   hta solve --tasks c.csv --workers w.csv [--xmax N]
-//             [--algo app|gre|app-rect] [--seed S] [--out assign.csv]
+//             [--algo app|gre] [--seed S] [--out assign.csv]
 //       Solve one HTA iteration and print (or export) the assignment.
 //
 //   hta simulate [--strategy gre|div|rel|random] [--sessions N]
@@ -101,7 +101,7 @@ int Usage() {
       "               [--tasks-per-group N] [--vocab N] [--workers N]\n"
       "               [--seed S]\n"
       "  hta solve    --tasks FILE --workers FILE [--xmax N]\n"
-      "               [--algo app|gre|app-rect] [--seed S] [--out FILE]\n"
+      "               [--algo app|gre] [--seed S] [--out FILE]\n"
       "  hta simulate [--strategy gre|div|rel|random] [--sessions N]\n"
       "               [--minutes M] [--concurrent] [--seed S]\n";
   return 2;
@@ -182,8 +182,6 @@ int RunSolve(Flags& flags) {
     options.lsap = LsapMethod::kExactJv;
   } else if (algo == "gre") {
     options.lsap = LsapMethod::kGreedy;
-  } else if (algo == "app-rect") {
-    options.lsap = LsapMethod::kExactStructured;
   } else {
     std::cerr << "error: unknown --algo '" << algo << "'\n";
     return 2;
