@@ -1,9 +1,9 @@
 // A11 — Ablation: serial vs multi-threaded execution of the parallel
 // compute layer (util/parallel.h). Times each parallelized hot kernel
-// — the O(|T|^2) pairwise-distance precompute, the diversity edge
-// build, the QAP objective — and the end-to-end HTA-APP solve, first
-// capped to one thread and then across the full pool, and checks the
-// determinism contract: every output must be bit-identical.
+// — the O(|T|^2) diversity edge build, the QAP objective — and the
+// end-to-end HTA-APP solve, first capped to one thread and then across
+// the full pool, and checks the determinism contract: every output must
+// be bit-identical.
 //
 // Thread count comes from HTA_THREADS (default: hardware concurrency);
 // run with HTA_THREADS=1 to sanity-check the fully serial pool. On a
@@ -66,40 +66,13 @@ int main() {
                          << ": parallel result diverged from serial";
   };
 
-  // O(|T|^2) pairwise-distance precompute (row blocks).
-  timer.Restart();
-  auto oracle_serial = TaskDistanceOracle::Precomputed(
-      &workload.catalog.tasks, DistanceKind::kJaccard, size_t{4} << 30,
-      /*max_threads=*/1);
-  const double precompute_serial = timer.ElapsedSeconds();
-  HTA_CHECK(oracle_serial.ok()) << oracle_serial.status();
-  timer.Restart();
-  auto oracle_parallel = TaskDistanceOracle::Precomputed(
-      &workload.catalog.tasks, DistanceKind::kJaccard);
-  const double precompute_parallel = timer.ElapsedSeconds();
-  HTA_CHECK(oracle_parallel.ok()) << oracle_parallel.status();
-  bool oracle_identical = true;
-  for (size_t i = 0; i < tasks && oracle_identical; i += 7) {
-    for (size_t j = i + 1; j < tasks; j += 13) {
-      if ((*oracle_serial)(static_cast<TaskIndex>(i),
-                           static_cast<TaskIndex>(j)) !=
-          (*oracle_parallel)(static_cast<TaskIndex>(i),
-                             static_cast<TaskIndex>(j))) {
-        oracle_identical = false;
-        break;
-      }
-    }
-  }
-  add_row("distance precompute", precompute_serial, precompute_parallel,
-          oracle_identical);
-
   // Diversity edge build (sharded row blocks).
   timer.Restart();
-  const auto edges_serial = BuildDiversityEdges(*oracle_serial,
+  const auto edges_serial = BuildDiversityEdges(problem->oracle(),
                                                 /*max_threads=*/1);
   const double edges_serial_s = timer.ElapsedSeconds();
   timer.Restart();
-  const auto edges_parallel = BuildDiversityEdges(*oracle_parallel);
+  const auto edges_parallel = BuildDiversityEdges(problem->oracle());
   const double edges_parallel_s = timer.ElapsedSeconds();
   bool edges_identical = edges_serial.size() == edges_parallel.size();
   for (size_t e = 0; edges_identical && e < edges_serial.size(); ++e) {
@@ -148,10 +121,10 @@ int main() {
                   solve_parallel->assignment.bundles);
 
   table.Print(std::cout);
-  std::cout << "\nexpected shape: on an N-core host the distance precompute "
-               "approaches Nx speedup\n(embarrassingly parallel rows); edge "
-               "build and objective scale similarly but\ntouch more memory "
-               "per flop. The identical column certifies the determinism\n"
+  std::cout << "\nexpected shape: on an N-core host the edge build "
+               "approaches Nx speedup\n(embarrassingly parallel rows); the "
+               "objective scales similarly but touches\nmore memory per "
+               "flop. The identical column certifies the determinism\n"
                "contract: HTA_THREADS only changes wall time, never "
                "results.\n";
   return 0;

@@ -53,22 +53,6 @@ void BM_SetDiversity(benchmark::State& state) {
 }
 BENCHMARK(BM_SetDiversity)->Arg(5)->Arg(15)->Arg(40);
 
-void BM_PrecomputedOracleLookup(benchmark::State& state) {
-  const Catalog catalog = MakeCatalog(256);
-  const size_t n = catalog.size();
-  auto oracle =
-      TaskDistanceOracle::Precomputed(&catalog.tasks, DistanceKind::kJaccard);
-  HTA_CHECK(oracle.ok());
-  size_t i = 1;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        (*oracle)(static_cast<TaskIndex>(i % n),
-                  static_cast<TaskIndex>((i * 13 + 1) % n)));
-    ++i;
-  }
-}
-BENCHMARK(BM_PrecomputedOracleLookup);
-
 void BM_GreedyMatching(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   const Catalog catalog = MakeCatalog(n);

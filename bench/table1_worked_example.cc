@@ -2,11 +2,24 @@
 // the relevance table, the matrices A and C of Fig. 1, the greedy
 // matching M_B, the auxiliary LSAP profits, and a full HTA-APP solve.
 #include <iostream>
+#include <string>
 
 #include "assign/hta_solver.h"
 #include "matching/max_weight_matching.h"
 #include "qap/qap_view.h"
 #include "util/table.h"
+
+namespace {
+
+/// "t3", "w1", ...: appended with += because GCC 12 at -O3 raises a
+/// false -Wrestrict on `"literal" + std::string`.
+std::string Label(const char* prefix, size_t index) {
+  std::string label = prefix;
+  label += std::to_string(index);
+  return label;
+}
+
+}  // namespace
 
 int main() {
   using namespace hta;
@@ -16,7 +29,7 @@ int main() {
   std::vector<Task> tasks;
   for (uint64_t i = 0; i < 8; ++i) {
     tasks.emplace_back(i, KeywordVector(8, {static_cast<KeywordId>(i)}),
-                       "t" + std::to_string(i + 1), kNoTaskGroup, 0.05);
+                       Label("t", i + 1), kNoTaskGroup, 0.05);
   }
   std::vector<Worker> workers;
   workers.emplace_back(1, KeywordVector(8, {0}), MotivationWeights{0.2, 0.8});
@@ -47,7 +60,7 @@ int main() {
   {
     TableWriter table({"", "t1", "t2", "t3", "t4", "t5", "t6", "t7", "t8"});
     for (size_t q = 0; q < 2; ++q) {
-      std::vector<std::string> row{"w" + std::to_string(q + 1)};
+      std::vector<std::string> row{Label("w", q + 1)};
       for (TaskIndex t = 0; t < 8; ++t) {
         row.push_back(FmtDouble(
             problem->Relevance(t, static_cast<WorkerIndex>(q)), 2));
@@ -62,10 +75,10 @@ int main() {
   auto print_matrix = [&](const char* name, auto accessor) {
     std::cout << "\n--- Fig. 1: matrix " << name << " ---\n";
     std::vector<std::string> header{""};
-    for (int l = 0; l < 8; ++l) header.push_back("v" + std::to_string(l + 1));
+    for (int l = 0; l < 8; ++l) header.push_back(Label("v", l + 1));
     TableWriter table(header);
     for (size_t k = 0; k < 8; ++k) {
-      std::vector<std::string> row{"t" + std::to_string(k + 1)};
+      std::vector<std::string> row{Label("t", k + 1)};
       for (size_t l = 0; l < 8; ++l) {
         row.push_back(FmtDouble(accessor(k, l), 3));
       }

@@ -53,7 +53,8 @@ int main() {
     std::string members;
     for (WorkerIndex m : teams->teams[t]) {
       if (!members.empty()) members += " + ";
-      members += "w" + std::to_string(workers[m].id());
+      members += "w";
+      members += std::to_string(workers[m].id());
     }
     table.AddRow({tasks[t].task.title(), members,
                   FmtPercent(TeamCoverage(tasks[t].task, teams->teams[t],

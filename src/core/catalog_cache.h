@@ -1,10 +1,7 @@
 #ifndef HTA_CORE_CATALOG_CACHE_H_
 #define HTA_CORE_CATALOG_CACHE_H_
 
-#include <atomic>
 #include <cstddef>
-#include <memory>
-#include <mutex>
 #include <utility>
 #include <vector>
 
@@ -12,69 +9,32 @@
 #include "core/packed_set.h"
 #include "core/task.h"
 #include "util/check.h"
-#include "util/metrics.h"
 
 namespace hta {
-
-namespace catalog_cache_metrics {
-
-/// Distance queries served straight from a published tile. Counted in
-/// the inline hot path, so the accessor is header-inline; the counter
-/// itself is a function-local static shared across TUs.
-inline metrics::Counter& TriHits() {
-  static metrics::Counter counter("catalog_cache.tri_hits");
-  return counter;
-}
-
-}  // namespace catalog_cache_metrics
 
 /// Warm per-catalog caches shared across assignment iterations.
 ///
 /// An online deployment solves one HTA instance per engine iteration
-/// over a catalog that never changes, so everything derivable from the
-/// catalog alone is computed once here and reused forever:
+/// over a catalog that never changes, so the catalog's keyword rows are
+/// packed once here (a PackedSetMatrix, the SoA substrate of the
+/// batched distance kernels, built eagerly in O(|catalog|)) and reused
+/// forever: subset views gather their rows from it, relevance rows are
+/// swept against it, and Distance() answers single pairs from it.
 ///
-///  * a PackedSetMatrix over every catalog task (the SoA substrate of
-///    the batched distance kernels — built eagerly, O(|catalog|));
-///  * optionally, a persistent upper-triangular task-distance cache in
-///    *double* precision, budget-gated and filled lazily one
-///    kTileRows x kTileRows tile at a time on first query. Task x task
-///    distances are worker-independent, so a filled tile stays valid
-///    for the lifetime of the deployment.
-///
-/// The cache stores doubles (not the float cache of
-/// TaskDistanceOracle::Precomputed) because subset-view solves must be
-/// bit-identical to solves over task copies, whose on-the-fly oracle
-/// returns full double distances. Every cached value is produced by
-/// packed_internal::DistanceFromCounts, which replicates distance.cc
-/// expression-for-expression, so a cache hit equals a fresh
-/// PairwiseTaskDiversity call bit-for-bit.
-///
-/// Thread safety: Distance() may be called concurrently from the
-/// solver's parallel phases. Tile states are published with
-/// release/acquire ordering and fills are serialized by a mutex
-/// (double-checked), so readers never observe a partially written tile.
-/// Values are pure functions of the catalog, hence independent of fill
-/// order and thread count.
+/// Every distance is produced by packed_internal::DistanceFromCounts,
+/// which replicates distance.cc expression-for-expression, so
+/// Distance() equals a fresh PairwiseTaskDiversity call bit-for-bit.
+/// The cache is immutable after construction, so concurrent queries
+/// from the solver's parallel phases need no synchronization.
 class CatalogCache {
  public:
-  /// Rows per side of one lazily filled distance tile. Matches the
-  /// L1-resident column tiling of AllPairsDistancesUpper.
-  static constexpr size_t kTileRows = 128;
-
-  struct Options {
-    /// Budget for the triangular double cache; catalogs whose strict
-    /// upper triangle exceeds it fall back to computing distances from
-    /// the packed rows on every query (0 disables the triangle; the
-    /// packed matrix is always built).
-    size_t max_distance_cache_bytes = size_t{1} << 30;
-  };
+  /// Empty. It and the three-argument constructor exist only because
+  /// the end-to-end benchmark harness spells `CatalogCache::Options{}`;
+  /// both can go once that call site drops the argument.
+  struct Options {};
 
   /// Builds the warm cache over `catalog` (not owned; must outlive the
-  /// cache). Packs every keyword row eagerly; allocates (but does not
-  /// fill) the triangular cache when it fits the budget. The two-arg
-  /// overload uses default Options (defined out of line: an in-class
-  /// `= Options{}` default argument needs the still-incomplete class).
+  /// cache), packing every keyword row eagerly.
   CatalogCache(const std::vector<Task>* catalog, DistanceKind kind,
                Options options);
   CatalogCache(const std::vector<Task>* catalog, DistanceKind kind);
@@ -92,14 +52,6 @@ class CatalogCache {
   /// The packed catalog rows (row r = catalog[r].keywords()).
   const PackedSetMatrix& packed() const { return packed_; }
 
-  /// Whether the persistent triangular cache was allocated (budget and
-  /// option permitting).
-  bool distance_cache_enabled() const { return tri_ != nullptr; }
-
-  /// Tiles filled so far (diagnostic; exact only when quiescent).
-  size_t filled_tiles() const;
-  size_t tile_count() const { return tile_count_; }
-
   /// Fills out[t] = 1 - d(catalog[t], interests) for every catalog
   /// task — one worker's full relevance row, the unit the engine's
   /// SessionRelevanceCache computes once per registration and gathers
@@ -112,56 +64,25 @@ class CatalogCache {
   void FillRelevanceRow(const KeywordVector& interests, double* out,
                         size_t max_threads = 0) const;
 
-  /// d(catalog[i], catalog[j]), bit-identical to PairwiseTaskDiversity.
-  /// With the triangular cache enabled, the first query touching a tile
-  /// fills that whole tile; later queries are one load.
+  /// d(catalog[i], catalog[j]) from the packed rows, bit-identical to
+  /// PairwiseTaskDiversity.
   double Distance(size_t i, size_t j) const {
     HTA_DCHECK_LT(i, catalog_->size());
     HTA_DCHECK_LT(j, catalog_->size());
     if (i == j) return 0.0;
-    if (i > j) std::swap(i, j);
-    if (tri_ != nullptr) {
-      const size_t tile = (i / kTileRows) * tile_cols_ + j / kTileRows;
-      if (tile_state_[tile].load(std::memory_order_acquire) == 0) {
-        // Exactly one query performs the fill and counts as the miss
-        // (inside FillTile); racers that lose the fill are hits. Hit +
-        // fill totals are therefore exact whatever the interleaving.
-        if (!FillTile(tile)) catalog_cache_metrics::TriHits().Add();
-      } else {
-        catalog_cache_metrics::TriHits().Add();
-      }
-      return tri_[TriIndex(i, j)];
-    }
-    return ComputeDistance(i, j);
+    return packed_internal::WithKind(kind_, [&](auto kind_tag) {
+      constexpr DistanceKind K = decltype(kind_tag)::value;
+      const size_t inter = packed_internal::IntersectionPopcount(
+          packed_.row(i), packed_.row(j), packed_.row_blocks());
+      return packed_internal::DistanceFromCounts<K>(
+          inter, packed_.count(i), packed_.count(j), packed_.universe_size());
+    });
   }
 
  private:
-  /// Packed index into the strict upper triangle (requires i < j);
-  /// same layout as TaskDistanceOracle's float cache.
-  size_t TriIndex(size_t i, size_t j) const {
-    return i * catalog_->size() - i * (i + 1) / 2 + (j - i - 1);
-  }
-
-  /// Computes d(i, j) from the packed rows (no cache). i != j.
-  double ComputeDistance(size_t i, size_t j) const;
-
-  /// Fills every upper-triangle entry of `tile` and publishes it.
-  /// Serialized by fill_mutex_; rechecks the state under the lock.
-  /// Returns true when this call performed the fill, false when another
-  /// thread published the tile first.
-  bool FillTile(size_t tile) const;
-
   const std::vector<Task>* catalog_;
   DistanceKind kind_;
   PackedSetMatrix packed_;
-  size_t tile_cols_ = 0;   // Tile-grid columns: ceil(|catalog| / kTileRows).
-  size_t tile_count_ = 0;  // tile_cols_^2 (only the upper wedge is used).
-  // Lazily filled triangular cache. make_unique_for_overwrite leaves
-  // the pages untouched until a tile fill actually writes them.
-  mutable std::unique_ptr<double[]> tri_;
-  // 0 = empty, 1 = filled-and-published.
-  mutable std::unique_ptr<std::atomic<uint8_t>[]> tile_state_;
-  mutable std::mutex fill_mutex_;
 };
 
 /// A zero-copy view of a subset of a CatalogCache's tasks, addressed by

@@ -15,43 +15,33 @@ namespace hta {
 /// Answers pairwise-task-diversity queries d(t_k, t_l) over a fixed task
 /// set — the (implicit) matrix B of the MAXQAP mapping (Eq. 5).
 ///
-/// Three modes:
-///  * on-the-fly  — each query recomputes the distance (O(R/64) popcounts);
-///                  zero memory, right choice for |T| in the thousands.
-///  * precomputed — a packed upper-triangular float cache, built once in
-///                  O(|T|^2); right choice when the same pair is hit many
-///                  times (brute-force solver, repeated objective evals).
-///  * shared subset — queries forward through a CatalogSubsetView into a
+/// Distances come from one of two sources:
+///  * keyword rows — each query computes the distance from the tasks'
+///                  keyword vectors (O(R/64) popcounts, zero memory),
+///                  either over a task vector or forwarded through a
+///                  CatalogSubsetView into the packed rows of a
 ///                  persistent CatalogCache (index remap, no Task
-///                  copies); the warm path of the online engine. Answers
-///                  are bit-identical to the on-the-fly mode over copies
-///                  of the subset's tasks.
+///                  copies; the warm path of the online engine). Both
+///                  give bit-identical answers for the same tasks.
+///  * a caller-supplied matrix — FromDenseMatrix stores the strict upper
+///                  triangle as floats (externally defined metrics, the
+///                  paper's Table I).
 ///
 /// The oracle pins the DistanceKind so every component of one experiment
 /// agrees on the metric.
 class TaskDistanceOracle {
  public:
-  /// On-the-fly oracle over `tasks` (not owned; must outlive the oracle).
+  /// Keyword oracle over `tasks` (not owned; must outlive the oracle).
   TaskDistanceOracle(const std::vector<Task>* tasks, DistanceKind kind);
-
-  /// Builds a precomputed oracle. Fails with ResourceExhausted if the
-  /// triangular cache would exceed `max_cache_bytes`. The O(|T|^2)
-  /// fill runs on the global thread pool, parallelized over row
-  /// blocks; `max_threads` caps the threads used (0 = pool size, 1 =
-  /// serial). Every row writes a disjoint cache segment, so the cache
-  /// is bit-identical for any thread count. The batched SoA sweep
-  /// stores the same floats as PairwiseTaskDiversity.
-  static Result<TaskDistanceOracle> Precomputed(
-      const std::vector<Task>* tasks, DistanceKind kind,
-      size_t max_cache_bytes = size_t{4} << 30, size_t max_threads = 0);
 
   /// Builds an oracle from an explicit dense row-major |T| x |T|
   /// distance matrix instead of computing distances from keywords. The
   /// paper allows d() to be any metric; this entry point lets callers
   /// plug externally-defined distances (it also reproduces the paper's
   /// worked example, whose Table I values are given, not derived).
-  /// Fails unless the matrix is symmetric with a zero diagonal and
-  /// non-negative entries. `kind` is recorded for the relevance side.
+  /// Fails unless the entries are finite and non-negative and the
+  /// matrix is symmetric with a zero diagonal. `kind` is recorded for
+  /// the relevance side.
   static Result<TaskDistanceOracle> FromDenseMatrix(
       const std::vector<Task>* tasks, DistanceKind kind,
       const std::vector<double>& matrix);
@@ -65,9 +55,7 @@ class TaskDistanceOracle {
   double operator()(TaskIndex i, TaskIndex j) const {
     if (i == j) return 0.0;
     if (view_ != nullptr) return view_->Distance(i, j);
-    if (!cache_.empty()) {
-      return cache_[TriIndex(i, j)];
-    }
+    if (!matrix_.empty()) return matrix_[TriIndex(i, j)];
     return PairwiseTaskDiversity(kind_, (*tasks_)[i], (*tasks_)[j]);
   }
 
@@ -75,26 +63,17 @@ class TaskDistanceOracle {
     return view_ != nullptr ? view_->size() : tasks_->size();
   }
   DistanceKind kind() const { return kind_; }
-  bool is_precomputed() const { return !cache_.empty(); }
-  bool is_shared_subset() const { return view_ != nullptr; }
 
-  /// Whether the oracle owns a pointer to a materialized task vector
-  /// (false in shared-subset mode, where tasks live in the catalog).
-  bool has_local_tasks() const { return tasks_ != nullptr; }
+  /// Whether distances come from a caller-supplied matrix
+  /// (FromDenseMatrix) rather than from keyword rows. Batched kernels
+  /// must not bypass such a matrix.
+  bool has_dense_matrix() const { return !matrix_.empty(); }
 
   /// The task behind index `i` — works in every mode (remaps through
   /// the subset view when present).
   const Task& task(TaskIndex i) const {
     if (view_ != nullptr) return view_->task(i);
     return (*tasks_)[i];
-  }
-
-  /// The materialized task vector. Only valid when has_local_tasks();
-  /// shared-subset consumers must go through task(i).
-  const std::vector<Task>& tasks() const {
-    HTA_CHECK(tasks_ != nullptr)
-        << "oracle has no local task vector (shared-subset mode)";
-    return *tasks_;
   }
 
   /// The oracle's task rows as a packed SoA matrix: gathered from the
@@ -119,7 +98,7 @@ class TaskDistanceOracle {
 
   const std::vector<Task>* tasks_;
   DistanceKind kind_;
-  std::vector<float> cache_;             // Empty outside precomputed mode.
+  std::vector<float> matrix_;  // Upper triangle; empty unless dense-matrix.
   const CatalogSubsetView* view_ = nullptr;  // Null outside subset mode.
 };
 

@@ -43,21 +43,8 @@ void IntersectRowCounts(const uint64_t* a, const uint64_t* rows, size_t nb,
 
 namespace {
 
-/// Column-tile width (in rows) of the cache-blocked all-pairs sweep. At
-/// the paper's vocabulary scale (universe ~1000 keywords -> 16 padded
-/// blocks = 128 bytes/row) a tile is ~16 KiB of j-rows plus their
-/// counts — resident in L1 while every i-row of a 16-row block streams
-/// against it. Fixed, never derived from the thread count, so tiling is
-/// a pure traversal-order change inside disjoint per-row segments.
-constexpr size_t kPairTileRows = 128;
-
-/// Column grain of the one-vs-many sweep: blocks of this many j indices
-/// form the fixed partition ParallelFor distributes.
-constexpr size_t kOneVsManyGrain = 256;
-
-/// Row grain of the all-pairs and rectangular sweeps (matches the
-/// precomputed-oracle fill so the partition stays balanced on the
-/// shrinking rows of the triangle).
+/// Row grain of the rectangular relevance sweep: fixed blocks of this
+/// many a-rows form the partition ParallelFor distributes.
 constexpr size_t kRowGrain = 16;
 
 }  // namespace
@@ -128,71 +115,6 @@ PackedSetMatrix PackedSetMatrix::FromVectors(
     m.PackRow(r, vecs[r]);
   }
   return m;
-}
-
-void OneVsManyDistances(const PackedSetMatrix& m, size_t i, DistanceKind kind,
-                        double* out, size_t max_threads) {
-  HTA_DCHECK_LT(i, m.rows());
-  packed_internal::WithKind(kind, [&](auto kind_tag) {
-    constexpr DistanceKind K = decltype(kind_tag)::value;
-    const uint64_t* ri = m.row(i);
-    const size_t nb = m.row_blocks();
-    const size_t ca = m.count(i);
-    const size_t universe = m.universe_size();
-    static_assert(kOneVsManyGrain <= packed_internal::kCountTile);
-    ParallelFor(
-        0, m.rows(), kOneVsManyGrain,
-        [&](size_t j_begin, size_t j_end) {
-          uint32_t inter[packed_internal::kCountTile];
-          packed_internal::IntersectRowCounts(ri, m.row(j_begin), nb,
-                                              j_end - j_begin, inter);
-          for (size_t j = j_begin; j < j_end; ++j) {
-            out[j] = packed_internal::DistanceFromCounts<K>(
-                inter[j - j_begin], ca, m.count(j), universe);
-          }
-          if (i >= j_begin && i < j_end) out[i] = 0.0;
-        },
-        max_threads);
-  });
-}
-
-void AllPairsDistancesUpper(const PackedSetMatrix& m, DistanceKind kind,
-                            float* cache, size_t max_threads) {
-  const size_t n = m.rows();
-  if (n < 2) return;
-  packed_internal::WithKind(kind, [&](auto kind_tag) {
-    constexpr DistanceKind K = decltype(kind_tag)::value;
-    const size_t nb = m.row_blocks();
-    const size_t universe = m.universe_size();
-    // Row i owns the disjoint cache segment starting at
-    // i*n - i*(i+1)/2 (entry j is at offset j-i-1), exactly the layout
-    // TaskDistanceOracle::Precomputed fills; write order within a
-    // segment is irrelevant, which is what permits the column tiling.
-    ParallelFor(
-        0, n, kRowGrain,
-        [&](size_t row_begin, size_t row_end) {
-          uint32_t inter[kPairTileRows];
-          for (size_t j_tile = row_begin + 1; j_tile < n;
-               j_tile += kPairTileRows) {
-            const size_t j_hi = std::min(j_tile + kPairTileRows, n);
-            for (size_t i = row_begin; i < row_end; ++i) {
-              const size_t j_lo = std::max(j_tile, i + 1);
-              if (j_lo >= j_hi) continue;
-              const uint64_t* ri = m.row(i);
-              const size_t ca = m.count(i);
-              float* seg = cache + (i * n - i * (i + 1) / 2);
-              packed_internal::IntersectRowCounts(ri, m.row(j_lo), nb,
-                                                  j_hi - j_lo, inter);
-              for (size_t j = j_lo; j < j_hi; ++j) {
-                seg[j - i - 1] = static_cast<float>(
-                    packed_internal::DistanceFromCounts<K>(
-                        inter[j - j_lo], ca, m.count(j), universe));
-              }
-            }
-          }
-        },
-        max_threads);
-  });
 }
 
 void RectangularRelevance(const PackedSetMatrix& a, const PackedSetMatrix& b,

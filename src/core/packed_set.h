@@ -109,9 +109,9 @@ inline size_t IntersectionPopcount(const uint64_t* a, const uint64_t* b,
 void IntersectRowCounts(const uint64_t* a, const uint64_t* rows, size_t nb,
                         size_t count, uint32_t* out);
 
-/// j-rows swept per IntersectRowCounts call by the fused emission and
-/// one-vs-many kernels: big enough to amortize the out-of-line call,
-/// small enough that the count buffer lives on the stack.
+/// j-rows swept per IntersectRowCounts call by the fused emission
+/// kernel: big enough to amortize the out-of-line call, small enough
+/// that the count buffer lives on the stack.
 inline constexpr size_t kCountTile = 256;
 
 /// Distance of a pair from its intersection popcount and the two row
@@ -170,23 +170,6 @@ decltype(auto) WithKind(DistanceKind kind, Fn&& fn) {
 }
 
 }  // namespace packed_internal
-
-/// Fills out[j] = d(row i, row j) for every j in [0, m.rows()), with
-/// out[i] = 0. Parallelized over fixed column blocks on the global pool
-/// (`max_threads` caps threads, 0 = pool size); each block writes a
-/// disjoint slice of `out`, so the result is bit-identical at any
-/// thread count.
-void OneVsManyDistances(const PackedSetMatrix& m, size_t i, DistanceKind kind,
-                        double* out, size_t max_threads = 0);
-
-/// Fills the packed strict-upper-triangle float cache used by
-/// TaskDistanceOracle::Precomputed: for i < j, cache[i*n - i*(i+1)/2 +
-/// (j-i-1)] = float(d(row i, row j)). Parallelized over fixed row
-/// blocks (each row owns a disjoint cache segment); within a block the
-/// sweep is cache-blocked over column tiles so a tile of j-rows stays
-/// resident while every i-row of the block streams against it.
-void AllPairsDistancesUpper(const PackedSetMatrix& m, DistanceKind kind,
-                            float* cache, size_t max_threads = 0);
 
 /// Fills out[i * b.rows() + j] = 1.0 - d(a row i, b row j) — the dense
 /// relevance table rel[t][q] when `a` packs tasks and `b` packs worker

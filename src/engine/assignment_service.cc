@@ -53,14 +53,7 @@ AssignmentService::AssignmentService(const std::vector<Task>* catalog,
   HTA_CHECK(options_.worker_id_stride > 0) << "worker_id_stride must be >= 1";
   HTA_CHECK(catalog != nullptr);
   HTA_CHECK_GE(options_.xmax, size_t{1});
-  const int64_t env_bytes = GetEnvIntOr("HTA_WARM_CACHE_BYTES", -1);
-  if (env_bytes >= 0) {
-    options_.warm_distance_cache_bytes = static_cast<size_t>(env_bytes);
-  }
-  CatalogCache::Options cache_options;
-  cache_options.max_distance_cache_bytes = options_.warm_distance_cache_bytes;
-  warm_cache_ =
-      std::make_unique<CatalogCache>(catalog, options_.metric, cache_options);
+  warm_cache_ = std::make_unique<CatalogCache>(catalog, options_.metric);
   estimator_.AttachSharedCache(warm_cache_.get());
   const int64_t rel_bytes = GetEnvIntOr("HTA_SESSION_REL_BYTES", -1);
   if (rel_bytes >= 0) {

@@ -55,23 +55,11 @@ struct AssignmentServiceOptions {
   /// service clock, enabling offline replay via ReplayEstimates.
   EventLog* event_log = nullptr;
   /// The service owns a CatalogCache built once at construction — the
-  /// packed catalog rows plus a budget-gated persistent task-distance
-  /// cache — and each iteration solves over a zero-copy
-  /// CatalogSubsetView of it instead of copying sampled tasks. Every
+  /// packed catalog rows — and each iteration solves over a zero-copy
+  /// CatalogSubsetView of it instead of copying sampled tasks. The
   /// budget below changes speed only: results are bit-identical at any
   /// budget and any HTA_THREADS.
   ///
-  /// Byte budget for the persistent catalog distance cache (doubles
-  /// over the strict upper triangle, lazily filled per tile). The
-  /// cache pays off when pairs are re-queried — small catalogs, long
-  /// deployments, the motivation estimator's bundle-prefix scans — and
-  /// loses when one-shot scattered queries trigger 128x128 tile fills
-  /// they never reuse, so the default budget (32 MB, catalogs up to
-  /// ~2.9k tasks) enables it only in the regime where it wins; larger
-  /// catalogs keep the packed rows and batched kernels but recompute
-  /// scalar distances per query. HTA_WARM_CACHE_BYTES overrides when
-  /// set (raise it for long deployments over big catalogs).
-  size_t warm_distance_cache_bytes = size_t{1} << 25;
   /// Byte budget for the persistent per-session relevance rows (one
   /// |catalog| double row per registered session, computed once at
   /// registration and gathered per iteration — see
@@ -223,8 +211,8 @@ class AssignmentService {
   TaskPool pool_;
   MotivationEstimator estimator_;
   Rng rng_;
-  /// Warm per-catalog caches (packed rows + lazy distance triangle),
-  /// built once per service and shared by every iteration.
+  /// Warm per-catalog cache (the packed catalog rows), built once per
+  /// service and shared by every iteration.
   std::unique_ptr<CatalogCache> warm_cache_;
   /// Persistent per-session relevance rows (computed at registration,
   /// gathered per iteration). Null when the row budget is zero.

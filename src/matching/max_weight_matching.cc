@@ -79,9 +79,9 @@ std::vector<WeightedEdge> BuildDiversityEdges(const TaskDistanceOracle& d,
   const size_t n = d.task_count();
   if (n < 2) return {};
   // The fused SoA sweep applies only when distances come from keyword
-  // vectors; a precomputed (or dense-matrix) oracle already answers
-  // from its float cache, which the kernels must not bypass.
-  const bool batched = !d.is_precomputed();
+  // vectors; a dense-matrix oracle answers from the caller's matrix,
+  // which the kernels must not bypass.
+  const bool batched = !d.has_dense_matrix();
   // PackedRows packs the oracle's rows in local-vector mode and gathers
   // them from the shared catalog matrix in subset mode; either way the
   // rows (and thus the emitted edges) are bitwise identical.

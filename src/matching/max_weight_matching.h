@@ -37,9 +37,9 @@ GraphMatching GreedyMaxWeightMatching(size_t vertex_count,
 /// row-major scan for any thread count. `max_threads` caps the threads
 /// used (0 = pool size, 1 = serial). An oracle that computes distances
 /// from keyword vectors (on-the-fly or shared subset) is swept by the
-/// fused SoA emission kernel (core/packed_set.h); precomputed /
-/// dense-matrix oracles are read pair by pair from their float cache —
-/// same edges, same order. Unlike the paper's description, the ~n²/2
+/// fused SoA emission kernel (core/packed_set.h); a dense-matrix
+/// oracle is read pair by pair from its float matrix — same edges,
+/// same order. Unlike the paper's description, the ~n²/2
 /// zero-weight pairs are never materialized (600 MB of edges at
 /// |T| = 10⁴ buys only weight-0 matches); greedy matching on B is
 /// GreedyMaxWeightMatching(d.task_count(), BuildDiversityEdges(d)).

@@ -18,8 +18,8 @@ namespace hta {
 ///
 /// Weights: Eq. 3 states alpha + beta = 1, yet the paper's own worked
 /// example (Example 1) uses (alpha, beta) = (0.6, 0.3). The objective
-/// is well-defined for any non-negative weights, so Create only
-/// requires alpha, beta >= 0 with a positive sum; the adaptive
+/// is well-defined for any finite non-negative weights, so Create only
+/// requires finite alpha, beta >= 0 with a positive sum; the adaptive
 /// estimator always produces normalized pairs.
 ///
 /// The problem does not own tasks or workers; both must outlive it.
@@ -39,9 +39,10 @@ class HtaProblem {
 
   /// Builds a problem from explicit matrices instead of keyword-derived
   /// values: `distances` is dense row-major |T| x |T| (must be a metric
-  /// for the guarantees to hold — not checked beyond symmetry and zero
-  /// diagonal), `relevance` is row-major |T| x |W| with entries in
-  /// [0, 1]. Reproduces setups like the paper's Table I exactly.
+  /// for the guarantees to hold — not checked beyond finite,
+  /// non-negative entries, symmetry and a zero diagonal), `relevance`
+  /// is row-major |T| x |W| with entries in [0, 1]. Reproduces setups
+  /// like the paper's Table I exactly.
   static Result<HtaProblem> CreateWithMatrices(
       const std::vector<Task>* tasks, const std::vector<Worker>* workers,
       size_t xmax, const std::vector<double>& distances,
@@ -74,17 +75,10 @@ class HtaProblem {
   /// the task side.
   HtaProblem WithWorkers(const std::vector<Worker>* workers) const;
 
-  /// The materialized task vector; only valid when has_local_tasks().
-  /// Subset-view problems expose tasks via task(i) instead.
-  const std::vector<Task>& tasks() const { return oracle_.tasks(); }
   const std::vector<Worker>& workers() const { return *workers_; }
 
   /// The task behind index `t`, in every mode.
   const Task& task(TaskIndex t) const { return oracle_.task(t); }
-
-  /// False when the problem was built from a CatalogSubsetView (no
-  /// local task vector; batched kernels gather rows via the oracle).
-  bool has_local_tasks() const { return oracle_.has_local_tasks(); }
 
   size_t task_count() const { return oracle_.task_count(); }
   size_t worker_count() const { return workers_->size(); }

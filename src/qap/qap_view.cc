@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "core/packed_set.h"
 #include "util/parallel.h"
 
 namespace hta {
@@ -70,64 +69,6 @@ double QapView::Objective(const std::vector<int32_t>& perm,
       },
       [](double acc, double partial) { return acc + partial; }, max_threads);
   return quadratic + linear;
-}
-
-DenseQapMatrices DenseQapMatrices::FromView(const QapView& view,
-                                            size_t max_threads) {
-  DenseQapMatrices m;
-  m.n = view.n();
-  m.a.resize(m.n * m.n);
-  m.b.resize(m.n * m.n);
-  m.c.resize(m.n * m.n);
-  // Batched B rows only when distances come from keyword vectors; a
-  // precomputed (or dense-matrix) oracle answers from its float cache,
-  // which the kernel must not bypass.
-  const bool batched = !view.problem().oracle().is_precomputed();
-  // PackedRows works in both local-vector and shared-subset modes
-  // (gathered rows are bitwise identical to re-packed ones).
-  const PackedSetMatrix packed = batched
-                                     ? view.problem().oracle().PackedRows()
-                                     : PackedSetMatrix();
-  const size_t tasks = view.task_count();
-  ParallelFor(
-      0, m.n, /*grain=*/8,
-      [&](size_t k) {
-        for (size_t l = 0; l < m.n; ++l) {
-          m.a[k * m.n + l] = view.A(k, l);
-          m.c[k * m.n + l] = view.C(k, l);
-        }
-        if (batched) {
-          // Row k of B via the one-vs-many kernel: identical doubles
-          // (same popcounts, same arithmetic), diagonal set to 0 by the
-          // kernel, padding columns/rows stay at the resize() zeros —
-          // exactly view.B. Serial inside the row-parallel loop.
-          if (k < tasks) {
-            OneVsManyDistances(packed, k, view.problem().distance_kind(),
-                               &m.b[k * m.n], /*max_threads=*/1);
-          }
-          return;
-        }
-        for (size_t l = 0; l < m.n; ++l) {
-          m.b[k * m.n + l] = view.B(k, l);
-        }
-      },
-      max_threads);
-  return m;
-}
-
-double DenseQapMatrices::Objective(const std::vector<int32_t>& perm) const {
-  HTA_CHECK_EQ(perm.size(), n);
-  double total = 0.0;
-  for (size_t k = 0; k < n; ++k) {
-    const size_t pk = static_cast<size_t>(perm[k]);
-    total += c[k * n + pk];
-    for (size_t l = 0; l < n; ++l) {
-      if (k == l) continue;
-      const size_t pl = static_cast<size_t>(perm[l]);
-      total += a[pk * n + pl] * b[k * n + l];
-    }
-  }
-  return total;
 }
 
 }  // namespace hta

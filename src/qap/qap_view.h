@@ -22,8 +22,7 @@ namespace hta {
 ///
 /// This class exposes A, B, C *implicitly* — O(1) storage and O(1)
 /// entry access — which is what lets HTA-APP/HTA-GRE run at |T| = 10^4
-/// without materializing 10^8-entry matrices. DenseQapMatrices (below)
-/// materializes them for tests and the worked example.
+/// without materializing 10^8-entry matrices.
 ///
 /// Padding: the mapping needs n >= |W| * Xmax vertices. When there are
 /// fewer tasks than clique slots, virtual padding tasks (indices in
@@ -109,27 +108,6 @@ class QapView {
  private:
   const HtaProblem* problem_;
   size_t n_;
-};
-
-/// Dense materialization of A, B, C for small instances (tests, worked
-/// example E8). Row-major n x n.
-struct DenseQapMatrices {
-  size_t n = 0;
-  std::vector<double> a;
-  std::vector<double> b;
-  std::vector<double> c;
-
-  /// Materializes A, B, C from the implicit view, row-parallel on the
-  /// global pool (rows write disjoint slices; bit-identical for any
-  /// thread count). The B rows of keyword-derived instances come from
-  /// the one-vs-many SoA kernel (core/packed_set.h); precomputed /
-  /// dense-matrix oracles keep the per-entry view reads.
-  static DenseQapMatrices FromView(const QapView& view,
-                                   size_t max_threads = 0);
-
-  /// Objective of a permutation evaluated from the dense matrices;
-  /// cross-checked against QapView::Objective in tests.
-  double Objective(const std::vector<int32_t>& perm) const;
 };
 
 }  // namespace hta

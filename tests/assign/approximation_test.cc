@@ -127,8 +127,17 @@ INSTANTIATE_TEST_SUITE_P(
                       ApproxCase{7, 3, 2, 11}, ApproxCase{8, 4, 2, 12}),
     [](const ::testing::TestParamInfo<ApproxCase>& info) {
       const ApproxCase& c = info.param;
-      return "t" + std::to_string(c.tasks) + "_w" + std::to_string(c.workers) +
-             "_x" + std::to_string(c.xmax) + "_s" + std::to_string(c.seed);
+      // Appended piecewise: GCC 12 at -O3 raises a false -Wrestrict on
+      // `"literal" + std::string`.
+      std::string name = "t";
+      name += std::to_string(c.tasks);
+      name += "_w";
+      name += std::to_string(c.workers);
+      name += "_x";
+      name += std::to_string(c.xmax);
+      name += "_s";
+      name += std::to_string(c.seed);
+      return name;
     });
 
 // Pure-diversity corner: the KPART-style instance from the NP-hardness

@@ -1,7 +1,6 @@
 // Equivalence net for the SoA distance kernels: on randomized
 // instances, every production consumer of the batched kernels — the
-// precomputed distance cache, the fused diversity-edge emission, the
-// dense QAP materialization, the rel[t][q] relevance table, and the
+// fused diversity-edge emission, the rel[t][q] relevance table, and the
 // tabulated auxiliary-LSAP profits — must reproduce a test-local
 // per-pair loop over the public scalar PairwiseTaskDiversity /
 // TaskRelevance (or QapView entry) bit-for-bit, at every thread cap.
@@ -65,19 +64,6 @@ Instance MakeInstance(size_t num_tasks, size_t num_workers, uint64_t seed) {
   return inst;
 }
 
-// Reference: the strict upper triangle, row-major, as floats.
-std::vector<float> ScalarTriangle(const std::vector<Task>& tasks,
-                                  DistanceKind kind) {
-  std::vector<float> tri;
-  for (size_t i = 0; i < tasks.size(); ++i) {
-    for (size_t j = i + 1; j < tasks.size(); ++j) {
-      tri.push_back(
-          static_cast<float>(PairwiseTaskDiversity(kind, tasks[i], tasks[j])));
-    }
-  }
-  return tri;
-}
-
 // Reference: the positive-weight pairs under `dist`, row-major.
 template <typename Dist>
 std::vector<WeightedEdge> ScalarEdges(size_t n, Dist dist) {
@@ -115,36 +101,8 @@ void ExpectSameEdges(const std::vector<WeightedEdge>& got,
   }
 }
 
-TEST(BatchedKernelEquivalenceTest, PrecomputedCacheBitIdentical) {
-  ASSERT_TRUE(kForcePoolSize);
-  for (const DistanceKind kind : kAllKinds) {
-    for (const uint64_t seed : {101u, 102u}) {
-      const Instance inst = MakeInstance(90, 4, seed);
-      const std::vector<float> tri = ScalarTriangle(inst.tasks, kind);
-      for (const size_t cap : kThreadCaps) {
-        auto batched = TaskDistanceOracle::Precomputed(&inst.tasks, kind,
-                                                       size_t{4} << 30, cap);
-        ASSERT_TRUE(batched.ok());
-        size_t at = 0;
-        for (size_t i = 0; i < inst.tasks.size(); ++i) {
-          for (size_t j = i + 1; j < inst.tasks.size(); ++j, ++at) {
-            const double want = tri[at];
-            ASSERT_EQ((*batched)(static_cast<TaskIndex>(i),
-                                 static_cast<TaskIndex>(j)),
-                      want)
-                << DistanceKindName(kind) << " cap " << cap << " pair ("
-                << i << ", " << j << ")";
-            ASSERT_EQ((*batched)(static_cast<TaskIndex>(j),
-                                 static_cast<TaskIndex>(i)),
-                      want);
-          }
-        }
-      }
-    }
-  }
-}
-
 TEST(BatchedKernelEquivalenceTest, DiversityEdgesBitIdentical) {
+  ASSERT_TRUE(kForcePoolSize);
   for (const DistanceKind kind : kAllKinds) {
     for (const uint64_t seed : {111u, 112u}) {
       const Instance inst = MakeInstance(85, 3, seed);
@@ -162,15 +120,12 @@ TEST(BatchedKernelEquivalenceTest, DiversityEdgesBitIdentical) {
   }
 }
 
-TEST(BatchedKernelEquivalenceTest, PrecomputedOracleBypassesBatchedPath) {
-  // Precomputed and dense-matrix oracles answer from their float cache;
-  // the edge builder must read that cache, not silently rebuild from
-  // keyword vectors. The dense matrix holds distances unrelated to the
-  // keywords, so a rebuild would change the edges.
+TEST(BatchedKernelEquivalenceTest, DenseMatrixOracleBypassesBatchedPath) {
+  // A dense-matrix oracle answers from the caller's matrix; the edge
+  // builder must read that matrix, not silently rebuild from keyword
+  // vectors. The matrix holds distances unrelated to the keywords, so
+  // a rebuild would change the edges.
   const Instance inst = MakeInstance(60, 3, 121);
-  auto pre = TaskDistanceOracle::Precomputed(&inst.tasks,
-                                             DistanceKind::kJaccard);
-  ASSERT_TRUE(pre.ok());
   const size_t n = inst.tasks.size();
   std::vector<double> matrix(n * n, 0.0);
   Rng rng(122);
@@ -184,43 +139,14 @@ TEST(BatchedKernelEquivalenceTest, PrecomputedOracleBypassesBatchedPath) {
   auto dense = TaskDistanceOracle::FromDenseMatrix(
       &inst.tasks, DistanceKind::kJaccard, matrix);
   ASSERT_TRUE(dense.ok()) << dense.status();
-  for (const TaskDistanceOracle* oracle : {&*pre, &*dense}) {
-    const std::vector<WeightedEdge> want =
-        ScalarEdges(n, [&](size_t i, size_t j) {
-          return (*oracle)(static_cast<TaskIndex>(i),
-                           static_cast<TaskIndex>(j));
-        });
-    for (const size_t cap : kThreadCaps) {
-      SCOPED_TRACE("cap " + std::to_string(cap));
-      ExpectSameEdges(BuildDiversityEdges(*oracle, cap), want);
-    }
-  }
-}
-
-TEST(BatchedKernelEquivalenceTest, DenseQapMatricesBitIdentical) {
-  for (const uint64_t seed : {131u, 132u}) {
-    const Instance inst = MakeInstance(40, 3, seed);
-    auto problem = HtaProblem::Create(&inst.tasks, &inst.workers, /*xmax=*/4);
-    ASSERT_TRUE(problem.ok());
-    const QapView view(&*problem);
-    const size_t n = view.n();
-    std::vector<double> a(n * n);
-    std::vector<double> b(n * n);
-    std::vector<double> c(n * n);
-    for (size_t k = 0; k < n; ++k) {
-      for (size_t l = 0; l < n; ++l) {
-        a[k * n + l] = view.A(k, l);
-        b[k * n + l] = view.B(k, l);
-        c[k * n + l] = view.C(k, l);
-      }
-    }
-    for (const size_t cap : kThreadCaps) {
-      const DenseQapMatrices batched = DenseQapMatrices::FromView(view, cap);
-      ASSERT_EQ(batched.n, n);
-      EXPECT_EQ(batched.a, a) << "cap " << cap;
-      EXPECT_EQ(batched.b, b) << "cap " << cap;
-      EXPECT_EQ(batched.c, c) << "cap " << cap;
-    }
+  ASSERT_TRUE(dense->has_dense_matrix());
+  const std::vector<WeightedEdge> want =
+      ScalarEdges(n, [&](size_t i, size_t j) {
+        return (*dense)(static_cast<TaskIndex>(i), static_cast<TaskIndex>(j));
+      });
+  for (const size_t cap : kThreadCaps) {
+    SCOPED_TRACE("cap " + std::to_string(cap));
+    ExpectSameEdges(BuildDiversityEdges(*dense, cap), want);
   }
 }
 

@@ -1,9 +1,9 @@
-// Unit tests for the warm catalog caches (core/catalog_cache.h): the
-// persistent tiled distance triangle (bit-identity against the scalar
-// reference, lazy per-tile fills, budget gating), zero-copy subset
-// views with non-contiguous remaps, GatherRows bit-identity, the
-// shared-cache oracle, and subset-view HtaProblem construction solving
-// bit-identically to a cold Create over copied tasks.
+// Unit tests for the warm catalog caches (core/catalog_cache.h):
+// packed-row distances (bit-identity against the scalar reference),
+// zero-copy subset views with non-contiguous remaps, GatherRows
+// bit-identity, the shared-cache oracle, and subset-view HtaProblem
+// construction solving bit-identically to a cold Create over copied
+// tasks.
 #include "core/catalog_cache.h"
 
 #include <vector>
@@ -43,7 +43,6 @@ TEST(CatalogCacheTest, DistanceBitIdenticalToScalarReferenceForEveryKind) {
   const auto catalog = RandomCatalog(60, 100, 11);
   for (const DistanceKind kind : kAllKinds) {
     const CatalogCache cache(&catalog, kind);
-    ASSERT_TRUE(cache.distance_cache_enabled());
     for (size_t i = 0; i < catalog.size(); ++i) {
       EXPECT_EQ(cache.Distance(i, i), 0.0);
       for (size_t j = i + 1; j < catalog.size(); ++j) {
@@ -51,20 +50,18 @@ TEST(CatalogCacheTest, DistanceBitIdenticalToScalarReferenceForEveryKind) {
             PairwiseTaskDiversity(kind, catalog[i], catalog[j]);
         EXPECT_EQ(cache.Distance(i, j), expected)
             << DistanceKindName(kind) << " (" << i << "," << j << ")";
-        // Symmetric argument order hits the same cached entry.
         EXPECT_EQ(cache.Distance(j, i), expected);
       }
     }
   }
 }
 
+// The three-argument constructor (empty Options) answers every ordered
+// pair, diagonal included, bit-identically to the scalar reference.
 TEST(CatalogCacheTest, DisabledTriangleStillBitIdentical) {
   const auto catalog = RandomCatalog(40, 80, 12);
   for (const DistanceKind kind : kAllKinds) {
-    CatalogCache::Options options;
-    options.max_distance_cache_bytes = 0;
-    const CatalogCache cache(&catalog, kind, options);
-    EXPECT_FALSE(cache.distance_cache_enabled());
+    const CatalogCache cache(&catalog, kind, CatalogCache::Options{});
     for (size_t i = 0; i < catalog.size(); ++i) {
       for (size_t j = 0; j < catalog.size(); ++j) {
         EXPECT_EQ(cache.Distance(i, j),
@@ -72,42 +69,6 @@ TEST(CatalogCacheTest, DisabledTriangleStillBitIdentical) {
       }
     }
   }
-}
-
-TEST(CatalogCacheTest, BudgetGateDisablesTriangle) {
-  const auto catalog = RandomCatalog(100, 64, 13);
-  // 100 tasks -> 4950 pairs -> 39600 bytes of doubles.
-  CatalogCache::Options tight;
-  tight.max_distance_cache_bytes = 39599;
-  const CatalogCache gated(&catalog, DistanceKind::kJaccard, tight);
-  EXPECT_FALSE(gated.distance_cache_enabled());
-
-  CatalogCache::Options fits;
-  fits.max_distance_cache_bytes = 39600;
-  const CatalogCache enabled(&catalog, DistanceKind::kJaccard, fits);
-  EXPECT_TRUE(enabled.distance_cache_enabled());
-  // Both answer identically regardless of gating.
-  for (size_t j = 1; j < catalog.size(); j += 7) {
-    EXPECT_EQ(gated.Distance(0, j), enabled.Distance(0, j));
-  }
-}
-
-TEST(CatalogCacheTest, TilesFillLazilyAndOnlyOnce) {
-  // 300 tasks -> a 3x3 tile grid (kTileRows = 128).
-  const auto catalog = RandomCatalog(300, 64, 14);
-  const CatalogCache cache(&catalog, DistanceKind::kJaccard);
-  ASSERT_TRUE(cache.distance_cache_enabled());
-  EXPECT_EQ(cache.tile_count(), 9u);
-  EXPECT_EQ(cache.filled_tiles(), 0u);
-
-  (void)cache.Distance(0, 1);  // Tile (0,0).
-  EXPECT_EQ(cache.filled_tiles(), 1u);
-  (void)cache.Distance(5, 100);  // Still tile (0,0).
-  EXPECT_EQ(cache.filled_tiles(), 1u);
-  (void)cache.Distance(299, 0);  // Tile (0,2) after swap to (0,299).
-  EXPECT_EQ(cache.filled_tiles(), 2u);
-  (void)cache.Distance(130, 260);  // Tile (1,2).
-  EXPECT_EQ(cache.filled_tiles(), 3u);
 }
 
 TEST(CatalogSubsetViewTest, NonContiguousRemapExposesUnderlyingTasks) {
@@ -160,8 +121,7 @@ TEST(CatalogSubsetViewTest, SharedCacheOracleMatchesLocalOracle) {
   const std::vector<size_t> sample = {1, 4, 9, 16, 25, 36, 49};
   const CatalogSubsetView view(&cache, sample);
   const TaskDistanceOracle shared = TaskDistanceOracle::FromSharedCache(&view);
-  EXPECT_TRUE(shared.is_shared_subset());
-  EXPECT_FALSE(shared.has_local_tasks());
+  EXPECT_FALSE(shared.has_dense_matrix());
   EXPECT_EQ(shared.task_count(), sample.size());
   EXPECT_EQ(shared.kind(), DistanceKind::kDice);
 

@@ -25,7 +25,7 @@ std::vector<Task> RandomTasks(size_t n, size_t universe, uint64_t seed) {
 TEST(DistanceOracleTest, OnTheFlyMatchesDirectComputation) {
   const std::vector<Task> tasks = RandomTasks(20, 64, 1);
   const TaskDistanceOracle oracle(&tasks, DistanceKind::kJaccard);
-  EXPECT_FALSE(oracle.is_precomputed());
+  EXPECT_FALSE(oracle.has_dense_matrix());
   for (TaskIndex i = 0; i < 20; ++i) {
     for (TaskIndex j = 0; j < 20; ++j) {
       EXPECT_DOUBLE_EQ(
@@ -37,60 +37,29 @@ TEST(DistanceOracleTest, OnTheFlyMatchesDirectComputation) {
   }
 }
 
-TEST(DistanceOracleTest, PrecomputedMatchesOnTheFly) {
-  const std::vector<Task> tasks = RandomTasks(30, 64, 2);
-  const TaskDistanceOracle fly(&tasks, DistanceKind::kJaccard);
-  auto pre = TaskDistanceOracle::Precomputed(&tasks, DistanceKind::kJaccard);
-  ASSERT_TRUE(pre.ok());
-  EXPECT_TRUE(pre->is_precomputed());
-  for (TaskIndex i = 0; i < 30; ++i) {
-    for (TaskIndex j = 0; j < 30; ++j) {
-      EXPECT_NEAR((*pre)(i, j), fly(i, j), 1e-6);  // float cache.
-    }
-  }
-}
-
+// Both distance sources: keyword rows, and a caller-supplied matrix
+// copied from them.
 TEST(DistanceOracleTest, SymmetricAndZeroDiagonal) {
   const std::vector<Task> tasks = RandomTasks(15, 64, 3);
-  auto pre = TaskDistanceOracle::Precomputed(&tasks, DistanceKind::kHamming);
-  ASSERT_TRUE(pre.ok());
+  const TaskDistanceOracle keywords(&tasks, DistanceKind::kHamming);
+  std::vector<double> matrix(15 * 15);
   for (TaskIndex i = 0; i < 15; ++i) {
-    EXPECT_EQ((*pre)(i, i), 0.0);
-    for (TaskIndex j = 0; j < 15; ++j) {
-      EXPECT_EQ((*pre)(i, j), (*pre)(j, i));
+    for (TaskIndex j = 0; j < 15; ++j) matrix[i * 15 + j] = keywords(i, j);
+  }
+  auto dense =
+      TaskDistanceOracle::FromDenseMatrix(&tasks, DistanceKind::kHamming,
+                                          matrix);
+  ASSERT_TRUE(dense.ok()) << dense.status();
+  const TaskDistanceOracle& from_matrix = *dense;
+  EXPECT_TRUE(from_matrix.has_dense_matrix());
+  for (const TaskDistanceOracle* oracle : {&keywords, &from_matrix}) {
+    for (TaskIndex i = 0; i < 15; ++i) {
+      EXPECT_EQ((*oracle)(i, i), 0.0);
+      for (TaskIndex j = 0; j < 15; ++j) {
+        EXPECT_EQ((*oracle)(i, j), (*oracle)(j, i));
+      }
     }
   }
-}
-
-TEST(DistanceOracleTest, PrecomputedHonorsMemoryLimit) {
-  const std::vector<Task> tasks = RandomTasks(100, 64, 4);
-  // 100*99/2 floats = 19,800 bytes > 1,000-byte budget.
-  auto pre = TaskDistanceOracle::Precomputed(&tasks, DistanceKind::kJaccard,
-                                             /*max_cache_bytes=*/1000);
-  EXPECT_FALSE(pre.ok());
-  EXPECT_EQ(pre.status().code(), StatusCode::kResourceExhausted);
-}
-
-TEST(DistanceOracleTest, MemoryLimitBoundaryIsExact) {
-  // 40*39/2 = 780 pairs = 3,120 bytes: a budget of exactly that size
-  // must pass and one byte less must fail. The guard divides instead
-  // of multiplying (pairs > max_cache_bytes / sizeof(float)), since
-  // pairs * sizeof(float) can wrap size_t for large |T| and then
-  // wrongly pass the check.
-  const std::vector<Task> tasks = RandomTasks(40, 64, 6);
-  const size_t exact = 780 * sizeof(float);
-  auto fits = TaskDistanceOracle::Precomputed(&tasks, DistanceKind::kJaccard,
-                                              /*max_cache_bytes=*/exact);
-  EXPECT_TRUE(fits.ok()) << fits.status();
-  auto tight = TaskDistanceOracle::Precomputed(&tasks, DistanceKind::kJaccard,
-                                               /*max_cache_bytes=*/exact - 1);
-  EXPECT_FALSE(tight.ok());
-  EXPECT_EQ(tight.status().code(), StatusCode::kResourceExhausted);
-  // The message reports entry counts, never the (overflowable) byte
-  // product.
-  EXPECT_NE(tight.status().message().find("780 float entries"),
-            std::string::npos)
-      << tight.status();
 }
 
 TEST(DistanceOracleTest, ReportsKindAndCount) {
@@ -98,14 +67,17 @@ TEST(DistanceOracleTest, ReportsKindAndCount) {
   const TaskDistanceOracle oracle(&tasks, DistanceKind::kCosineAngular);
   EXPECT_EQ(oracle.kind(), DistanceKind::kCosineAngular);
   EXPECT_EQ(oracle.task_count(), 5u);
-  EXPECT_EQ(&oracle.tasks(), &tasks);
+  EXPECT_EQ(&oracle.task(3), &tasks[3]);
 }
 
 TEST(DistanceOracleTest, SingleTask) {
   const std::vector<Task> tasks = RandomTasks(1, 64, 6);
-  auto pre = TaskDistanceOracle::Precomputed(&tasks, DistanceKind::kJaccard);
-  ASSERT_TRUE(pre.ok());
-  EXPECT_EQ((*pre)(0, 0), 0.0);
+  const TaskDistanceOracle keywords(&tasks, DistanceKind::kJaccard);
+  EXPECT_EQ(keywords(0, 0), 0.0);
+  auto dense = TaskDistanceOracle::FromDenseMatrix(
+      &tasks, DistanceKind::kJaccard, std::vector<double>{0.0});
+  ASSERT_TRUE(dense.ok()) << dense.status();
+  EXPECT_EQ((*dense)(0, 0), 0.0);
 }
 
 }  // namespace

@@ -156,48 +156,6 @@ TEST(PackedSetDistanceTest, DistanceFromCountsBitIdenticalToScalar) {
   }
 }
 
-TEST(PackedSetKernelTest, OneVsManyMatchesScalarWithZeroDiagonal) {
-  Rng rng(17);
-  std::vector<KeywordVector> vecs;
-  for (int r = 0; r < 70; ++r) {
-    vecs.push_back(RandomVector(100, 1 + rng.NextBounded(30), &rng));
-  }
-  const PackedSetMatrix m = PackedSetMatrix::FromVectors(vecs);
-  for (const DistanceKind kind :
-       {DistanceKind::kJaccard, DistanceKind::kCosineAngular}) {
-    std::vector<double> out(vecs.size());
-    for (const size_t i : {size_t{0}, size_t{33}, vecs.size() - 1}) {
-      OneVsManyDistances(m, i, kind, out.data());
-      for (size_t j = 0; j < vecs.size(); ++j) {
-        const double expect =
-            i == j ? 0.0 : VectorDistance(kind, vecs[i], vecs[j]);
-        EXPECT_EQ(out[j], expect) << "row " << i << " col " << j;
-      }
-    }
-  }
-}
-
-TEST(PackedSetKernelTest, AllPairsFillsTriangularCacheLikeScalar) {
-  Rng rng(19);
-  std::vector<KeywordVector> vecs;
-  const size_t n = 150;  // > kPairTileRows, so column tiling is exercised.
-  for (size_t r = 0; r < n; ++r) {
-    vecs.push_back(RandomVector(130, 1 + rng.NextBounded(40), &rng));
-  }
-  const PackedSetMatrix m = PackedSetMatrix::FromVectors(vecs);
-  std::vector<float> cache(n * (n - 1) / 2, -1.0f);
-  AllPairsDistancesUpper(m, DistanceKind::kJaccard, cache.data());
-  for (size_t i = 0; i < n; ++i) {
-    const float* seg = cache.data() + (i * n - i * (i + 1) / 2);
-    for (size_t j = i + 1; j < n; ++j) {
-      EXPECT_EQ(seg[j - i - 1],
-                static_cast<float>(
-                    VectorDistance(DistanceKind::kJaccard, vecs[i], vecs[j])))
-          << "(" << i << ", " << j << ")";
-    }
-  }
-}
-
 TEST(PackedSetKernelTest, RectangularRelevanceMatchesScalar) {
   Rng rng(23);
   std::vector<KeywordVector> a_vecs;

@@ -1,8 +1,7 @@
 // Cache-budget engine equivalence: two AssignmentServices over the same
-// catalog — one with warm caches (default budgets: on these small
-// catalogs the persistent distance triangle and the per-session
-// relevance rows are both live), one with cold caches (both budgets 0,
-// so every distance and relevance query is recomputed from the packed
+// catalog — one with warm caches (the default session-row budget, so
+// every session's relevance row is live), one with cold caches (a zero
+// row budget, so every relevance query is recomputed from the packed
 // rows) — are driven through an identical scripted deployment and must
 // stay EXPECT_EQ-identical at every observable step: displayed bundles
 // after every registration and completion, weight estimates, pool
@@ -23,7 +22,6 @@ namespace hta {
 namespace {
 
 AssignmentServiceOptions ColdCaches(AssignmentServiceOptions options) {
-  options.warm_distance_cache_bytes = 0;
   options.session_relevance_bytes = 0;
   return options;
 }
@@ -80,9 +78,7 @@ TEST_P(WarmColdEquivalenceTest, ScriptedDeploymentIsBitIdentical) {
 
   AssignmentService warm(&catalog, options);
   AssignmentService cold(&catalog, ColdCaches(options));
-  ASSERT_TRUE(warm.warm_cache()->distance_cache_enabled());
   ASSERT_NE(warm.session_relevance(), nullptr);
-  ASSERT_FALSE(cold.warm_cache()->distance_cache_enabled());
   ASSERT_EQ(cold.session_relevance(), nullptr);
 
   std::vector<uint64_t> ids;
@@ -156,11 +152,11 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
-// Each cache on its own: a zero distance budget (packed rows only)
-// with a session-row budget that fits exactly two rows — so the first
-// two workers' relevance is gathered (by solver tables and estimator
-// scans alike) while the third's falls back to the per-iteration sweep
-// — still matches the all-cold service.
+// A partial session-row budget that fits exactly two rows — so the
+// first two workers' relevance is gathered (by solver tables and
+// estimator scans alike) while the third's falls back to the
+// per-iteration sweep — still matches the all-cold service. Distances
+// come from the packed rows on both.
 TEST(WarmColdEquivalenceTest, ZeroDistanceBudgetStaysEquivalent) {
   constexpr size_t kUniverse = 40;
   const auto catalog = RandomCatalog(120, kUniverse, 31);
@@ -172,12 +168,10 @@ TEST(WarmColdEquivalenceTest, ZeroDistanceBudgetStaysEquivalent) {
   options.refresh_after_completions = 2;
   options.max_tasks_per_iteration = 30;
   options.seed = 7;
-  options.warm_distance_cache_bytes = 0;  // Packed rows only.
   options.session_relevance_bytes = 2 * catalog.size() * sizeof(double);
 
   AssignmentService warm(&catalog, options);
   AssignmentService cold(&catalog, ColdCaches(options));
-  EXPECT_FALSE(warm.warm_cache()->distance_cache_enabled());
   ASSERT_NE(warm.session_relevance(), nullptr);
 
   std::vector<uint64_t> ids;

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <set>
 #include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -180,6 +181,25 @@ TEST_F(CatalogIoTest, WorkersRejectUnknownKeywords) {
   ASSERT_TRUE(WriteCsvFile(workers_path_, file).ok());
   auto r = LoadWorkersCsv(workers_path_, catalog_.space);
   EXPECT_EQ(r.status().code(), StatusCode::kNotFound);
+}
+
+// strtod accepts "nan" and "inf", so the loader passes them through;
+// HtaProblem::Create is where every solve rejects them.
+TEST_F(CatalogIoTest, NonFiniteWorkerWeightsLoadButCreateRejectsThem) {
+  for (const auto& [alpha, beta] :
+       {std::pair<std::string, std::string>{"nan", "0.5"},
+        {"0.5", "nan"},
+        {"inf", "0.5"}}) {
+    CsvFile file;
+    file.header = {"id", "alpha", "beta", "interests"};
+    file.rows = {{"1", alpha, beta, "kw1"}, {"2", "0.5", "0.5", "kw2"}};
+    ASSERT_TRUE(WriteCsvFile(workers_path_, file).ok());
+    auto workers = LoadWorkersCsv(workers_path_, catalog_.space);
+    ASSERT_TRUE(workers.ok()) << workers.status();
+    auto problem = HtaProblem::Create(&catalog_.tasks, &*workers, 3);
+    EXPECT_EQ(problem.status().code(), StatusCode::kInvalidArgument)
+        << alpha << ", " << beta;
+  }
 }
 
 TEST_F(CatalogIoTest, EventLogRoundTrip) {

@@ -105,10 +105,6 @@ TEST(GreedyOrderEquivalenceTest, DiversityGraphsOfEveryOracleMode) {
     const TaskDistanceOracle on_the_fly(&tasks, kind);
     ExpectDiversityGraphMatches(on_the_fly, name + " on-the-fly");
 
-    auto precomputed = TaskDistanceOracle::Precomputed(&tasks, kind);
-    ASSERT_TRUE(precomputed.ok());
-    ExpectDiversityGraphMatches(*precomputed, name + " precomputed");
-
     const size_t n = tasks.size();
     std::vector<double> matrix(n * n, 0.0);
     for (size_t i = 0; i < n; ++i) {

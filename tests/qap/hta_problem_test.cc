@@ -1,6 +1,12 @@
 #include "qap/hta_problem.h"
 
+#include <limits>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
+
+#include "core/catalog_cache.h"
 
 namespace hta {
 namespace {
@@ -62,6 +68,37 @@ TEST(HtaProblemTest, RejectsNegativeOrZeroSumWeights) {
   EXPECT_FALSE(HtaProblem::Create(&tasks, &workers, 1).ok());
 }
 
+// NaN fails every comparison, so a plain range test lets it through;
+// a NaN or infinite weight must be rejected by every entry point, not
+// reach the LSAP as a NaN profit.
+TEST(HtaProblemTest, RejectsNonFiniteWeights) {
+  const auto tasks = TwoTasks();
+  const CatalogCache cache(&tasks, DistanceKind::kJaccard);
+  const CatalogSubsetView view(&cache, {0, 1});
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const MotivationWeights bad_weights[] = {
+      {nan, 0.5}, {0.5, nan}, {nan, nan}, {inf, 0.5}, {0.5, inf}, {-inf, 0.5}};
+  for (const MotivationWeights& weights : bad_weights) {
+    std::vector<Worker> workers;
+    workers.emplace_back(0, KeywordVector(16, {1}), weights);
+    const std::string label =
+        std::to_string(weights.alpha) + ", " + std::to_string(weights.beta);
+    EXPECT_EQ(HtaProblem::Create(&tasks, &workers, 2).status().code(),
+              StatusCode::kInvalidArgument)
+        << label;
+    EXPECT_EQ(HtaProblem::CreateWithMatrices(&tasks, &workers, 2,
+                                             {0.0, 0.5, 0.5, 0.0}, {0.1, 0.2})
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument)
+        << label;
+    EXPECT_EQ(HtaProblem::CreateFromSubset(&view, &workers, 2).status().code(),
+              StatusCode::kInvalidArgument)
+        << label;
+  }
+}
+
 TEST(HtaProblemTest, AcceptsUnnormalizedWeights) {
   // The paper's Example 1 uses (0.6, 0.3); this must be accepted.
   const auto tasks = TwoTasks();
@@ -112,6 +149,30 @@ TEST(HtaProblemTest, CreateWithMatricesValidatesShapes) {
   EXPECT_FALSE(HtaProblem::CreateWithMatrices(
                    &tasks, &workers, 1, {0.0, 0.5, 0.5, 0.0}, {0.1, 1.2})
                    .ok());
+}
+
+TEST(HtaProblemTest, CreateWithMatricesRejectsNonFiniteEntries) {
+  const auto tasks = TwoTasks();
+  const auto workers = OneWorker();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {nan, inf, -inf}) {
+    // Relevance: NaN passes a plain [0, 1] range test.
+    auto rel = HtaProblem::CreateWithMatrices(
+        &tasks, &workers, 1, {0.0, 0.5, 0.5, 0.0}, {0.1, bad});
+    EXPECT_EQ(rel.status().code(), StatusCode::kInvalidArgument) << bad;
+    // Distances, symmetric and on the diagonal: named as non-finite,
+    // not as asymmetric (NaN) or accepted (inf).
+    for (const std::vector<double>& distances :
+         {std::vector<double>{0.0, bad, bad, 0.0},
+          std::vector<double>{bad, 0.5, 0.5, 0.0}}) {
+      auto dist = HtaProblem::CreateWithMatrices(&tasks, &workers, 1,
+                                                 distances, {0.1, 0.2});
+      ASSERT_EQ(dist.status().code(), StatusCode::kInvalidArgument) << bad;
+      EXPECT_NE(dist.status().message().find("finite"), std::string::npos)
+          << dist.status();
+    }
+  }
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 
 #include "assign/assignment.h"
 #include "assign/hta_solver.h"
+#include "reference/dense_qap.h"
 #include "util/rng.h"
 
 namespace hta {
@@ -131,7 +132,8 @@ TEST(QapViewTest, ImplicitObjectiveEqualsDenseObjective) {
     auto problem = HtaProblem::Create(&f.tasks, &f.workers, 3);
     ASSERT_TRUE(problem.ok());
     const QapView view(&*problem);
-    const DenseQapMatrices dense = DenseQapMatrices::FromView(view);
+    const reference::DenseQapMatrices dense =
+        reference::DenseQapMatrices::FromView(view);
     std::vector<int32_t> perm(view.n());
     std::iota(perm.begin(), perm.end(), 0);
     for (int p = 0; p < 5; ++p) {
