@@ -18,8 +18,9 @@ namespace hta {
 /// over a catalog that never changes, so the catalog's keyword rows are
 /// packed once here (a PackedSetMatrix, the SoA substrate of the
 /// batched distance kernels, built eagerly in O(|catalog|)) and reused
-/// forever: subset views gather their rows from it, relevance rows are
-/// swept against it, and Distance() answers single pairs from it.
+/// forever: subset views gather their rows from it (the engine's
+/// relevance tables are swept over those), and Distance() answers
+/// single pairs from it.
 ///
 /// Every distance is produced by packed_internal::DistanceFromCounts,
 /// which replicates distance.cc expression-for-expression, so
@@ -53,14 +54,14 @@ class CatalogCache {
   const PackedSetMatrix& packed() const { return packed_; }
 
   /// Fills out[t] = 1 - d(catalog[t], interests) for every catalog
-  /// task — one worker's full relevance row, the unit the engine's
-  /// SessionRelevanceCache computes once per registration and gathers
-  /// from on every later iteration. Runs the batched rectangular
-  /// relevance kernel over the already-packed catalog rows, so the
-  /// values are bit-identical to TaskRelevance (and to any
-  /// RectangularRelevance sweep over a subset of the catalog) at every
-  /// `max_threads` cap. `out` must hold catalog().size() doubles;
-  /// `interests` must share the catalog's keyword universe.
+  /// task: one worker's full relevance row. Nothing in the library
+  /// calls it; perfbench/serve.cc's core.relevance_row_us probe does.
+  /// Runs the batched rectangular relevance kernel over the packed
+  /// catalog rows, so the values are bit-identical to TaskRelevance
+  /// (and to any RectangularRelevance sweep over a subset of the
+  /// catalog) at every `max_threads` cap. `out` must hold
+  /// catalog().size() doubles; `interests` must share the catalog's
+  /// keyword universe (CHECKed).
   void FillRelevanceRow(const KeywordVector& interests, double* out,
                         size_t max_threads = 0) const;
 

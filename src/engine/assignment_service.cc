@@ -47,34 +47,25 @@ AssignmentService::AssignmentService(const std::vector<Task>* catalog,
     : catalog_(catalog),
       options_(options),
       pool_(catalog),
-      estimator_(catalog, options.metric, options.prior),
+      warm_cache_(std::make_unique<CatalogCache>(catalog, options.metric)),
+      estimator_(warm_cache_.get(), options.prior),
       rng_(options.seed),
       next_worker_id_(options.worker_id_start) {
   HTA_CHECK(options_.worker_id_stride > 0) << "worker_id_stride must be >= 1";
   HTA_CHECK(catalog != nullptr);
   HTA_CHECK_GE(options_.xmax, size_t{1});
-  warm_cache_ = std::make_unique<CatalogCache>(catalog, options_.metric);
-  estimator_.AttachSharedCache(warm_cache_.get());
-  const int64_t rel_bytes = GetEnvIntOr("HTA_SESSION_REL_BYTES", -1);
-  if (rel_bytes >= 0) {
-    options_.session_relevance_bytes = static_cast<size_t>(rel_bytes);
-  }
-  if (options_.session_relevance_bytes > 0) {
-    session_rel_ = std::make_unique<SessionRelevanceCache>(
-        warm_cache_.get(), options_.session_relevance_bytes);
-    estimator_.AttachSessionRelevance(session_rel_.get());
-  }
   options_.warm_start =
       GetEnvIntOr("HTA_WARM_START", options_.warm_start ? 1 : 0) != 0;
 }
 
 uint64_t AssignmentService::RegisterWorker(const KeywordVector& interests) {
+  // The relevance kernels only DCHECK the universe, so a vector from
+  // another keyword space would read out of bounds in the first solve.
+  HTA_CHECK_EQ(interests.universe_size(), warm_cache_->packed().universe_size())
+      << "worker interests must share the catalog's keyword universe";
   const uint64_t id = next_worker_id_;
   next_worker_id_ += options_.worker_id_stride;
   sessions_.emplace(id, Session(Worker(id, interests, options_.prior)));
-  if (session_rel_ != nullptr) {
-    session_rel_->AddSession(id, interests, options_.solver_threads);
-  }
   ++active_sessions_;
   Em().registrations.Add();
   Em().active_sessions.Set(static_cast<int64_t>(active_sessions_));
@@ -115,7 +106,7 @@ Status AssignmentService::NotifyCompleted(uint64_t worker_id,
     options_.event_log->RecordCompleted(clock_minutes_, worker_id,
                                         (*catalog_)[catalog_index].id());
   }
-  estimator_.ObserveCompletion(worker_id, catalog_index, session.worker);
+  estimator_.ObserveCompletion(worker_id, catalog_index);
   session.worker.set_weights(estimator_.Estimate(worker_id));
   auto pos = session.displayed_pos.find(catalog_index);
   if (pos != session.displayed_pos.end()) {
@@ -175,7 +166,6 @@ void AssignmentService::Deregister(uint64_t worker_id) {
   session.displayed_pos.clear();
   session.displayed_live = 0;
   session.last_bundle.clear();
-  if (session_rel_ != nullptr) session_rel_->RemoveSession(worker_id);
 }
 
 MotivationWeights AssignmentService::CurrentWeights(uint64_t worker_id) const {
@@ -231,7 +221,8 @@ void AssignmentService::Display(Session* session, std::vector<size_t> bundle) {
     options_.event_log->RecordDisplayed(clock_minutes_, session->worker.id(),
                                         std::move(task_ids));
   }
-  estimator_.BeginBundle(session->worker.id(), session->displayed);
+  estimator_.BeginBundle(session->worker.id(), session->displayed,
+                         session->worker.interests());
 }
 
 void AssignmentService::RunIteration(const std::vector<uint64_t>& worker_ids) {
@@ -316,16 +307,6 @@ void AssignmentService::RunIteration(const std::vector<uint64_t>& worker_ids) {
       if (!warm_seeded) Em().warm_cold_fallbacks.Add();
     }
 
-    // Persistent relevance rows: gather the instance's rel[t][q] table
-    // from the per-session rows instead of re-running the rectangular
-    // sweep (bit-identical values — same popcount kernels). Sessions
-    // past the row budget miss, and the problem falls back to the
-    // sweep.
-    std::vector<double> rel_override;
-    if (session_rel_ != nullptr) {
-      session_rel_->GatherTable(available, solve_ids, &rel_override);
-    }
-
     // The instance is a zero-copy view over the shared catalog cache
     // (kDice deployments rely on allow_non_metric, matching the
     // estimator's unconditional use of the configured kind).
@@ -336,7 +317,7 @@ void AssignmentService::RunIteration(const std::vector<uint64_t>& worker_ids) {
                                  std::vector<size_t>(available));
     auto problem = HtaProblem::CreateFromSubset(
         &view, &local_workers, options_.xmax, /*allow_non_metric=*/true,
-        std::move(rel_override));
+        options_.solver_threads);
     setup_span.reset();
     HTA_CHECK(problem.ok()) << problem.status();
     setup_seconds = setup_timer.ElapsedSeconds();

@@ -12,7 +12,6 @@
 #include "core/catalog_cache.h"
 #include "engine/event_log.h"
 #include "engine/motivation_estimator.h"
-#include "engine/session_relevance_cache.h"
 #include "engine/task_pool.h"
 #include "util/rng.h"
 
@@ -54,20 +53,6 @@ struct AssignmentServiceOptions {
   /// set, every displayed bundle and completion is recorded with the
   /// service clock, enabling offline replay via ReplayEstimates.
   EventLog* event_log = nullptr;
-  /// The service owns a CatalogCache built once at construction — the
-  /// packed catalog rows — and each iteration solves over a zero-copy
-  /// CatalogSubsetView of it instead of copying sampled tasks. The
-  /// budget below changes speed only: results are bit-identical at any
-  /// budget and any HTA_THREADS.
-  ///
-  /// Byte budget for the persistent per-session relevance rows (one
-  /// |catalog| double row per registered session, computed once at
-  /// registration and gathered per iteration — see
-  /// SessionRelevanceCache). Sessions past the budget fall back to the
-  /// per-iteration rectangular sweep; results are bit-identical either
-  /// way. HTA_SESSION_REL_BYTES overrides when set; 0 disables row
-  /// caching entirely.
-  size_t session_relevance_bytes = size_t{1} << 30;
   /// Cross-iteration warm start (off by default): when a due worker's
   /// previous optimized bundle still has surviving (displayed,
   /// uncompleted) tasks, the iteration's instance is the fresh sample
@@ -101,8 +86,8 @@ struct IterationRecord {
   size_t task_count = 0;     ///< Tasks offered to the solver.
   double solve_seconds = 0.0;
   /// Problem-construction time within solve_seconds: building the
-  /// solver instance's zero-copy subset view (and its relevance
-  /// override). Availability sampling is excluded.
+  /// solver instance's zero-copy subset view and sweeping its relevance
+  /// table. Availability sampling is excluded.
   double setup_seconds = 0.0;
   double motivation = 0.0;   ///< Objective value of the solved instance.
   /// Warm-start diagnostics: whether this iteration's solve was seeded
@@ -112,6 +97,13 @@ struct IterationRecord {
   bool warm_seeded = false;
   size_t carried_tasks = 0;
   size_t repaired_slots = 0;
+};
+
+/// Declaration-only remnant of the deleted per-session relevance rows:
+/// perfbench/serve.cc still reads `session_relevance()->bytes_used()`.
+class SessionRelevanceCache {
+ public:
+  size_t bytes_used() const { return 0; }
 };
 
 /// The platform workflow of Fig. 4: workers register, receive displayed
@@ -128,7 +120,8 @@ class AssignmentService {
 
   /// A new worker arrives (Fig. 4 "New w"); returns their id and
   /// performs the first assignment (random cold-start bundle for the
-  /// adaptive strategy, strategy solve otherwise).
+  /// adaptive strategy, strategy solve otherwise). `interests` must
+  /// share the catalog's keyword universe (CHECKed).
   uint64_t RegisterWorker(const KeywordVector& interests);
 
   /// Tasks currently displayed to the worker (catalog indices,
@@ -163,11 +156,8 @@ class AssignmentService {
   /// The service's catalog cache. Never null.
   const CatalogCache* warm_cache() const { return warm_cache_.get(); }
 
-  /// The persistent per-session relevance rows, or nullptr with a zero
-  /// row budget.
-  const SessionRelevanceCache* session_relevance() const {
-    return session_rel_.get();
-  }
+  /// Always nullptr; kept only because perfbench/serve.cc calls it.
+  const SessionRelevanceCache* session_relevance() const { return nullptr; }
 
  private:
   /// Tombstone marking a completed slot of a session's display list.
@@ -209,14 +199,11 @@ class AssignmentService {
   const std::vector<Task>* catalog_;
   AssignmentServiceOptions options_;
   TaskPool pool_;
+  /// Warm per-catalog cache (the packed catalog rows), built once per
+  /// service and shared by every iteration and the estimator.
+  std::unique_ptr<CatalogCache> warm_cache_;
   MotivationEstimator estimator_;
   Rng rng_;
-  /// Warm per-catalog cache (the packed catalog rows), built once per
-  /// service and shared by every iteration.
-  std::unique_ptr<CatalogCache> warm_cache_;
-  /// Persistent per-session relevance rows (computed at registration,
-  /// gathered per iteration). Null when the row budget is zero.
-  std::unique_ptr<SessionRelevanceCache> session_rel_;
   /// Scratch for the per-iteration instance task list (the sampled or
   /// full available set, plus carried survivors under warm start) —
   /// reused across iterations instead of materializing a fresh vector.

@@ -60,7 +60,8 @@ Result<std::unordered_map<uint64_t, MotivationWeights>> ReplayEstimates(
   std::unordered_map<uint64_t, const Worker*> worker_by_id;
   for (const Worker& w : workers) worker_by_id.emplace(w.id(), &w);
 
-  MotivationEstimator estimator(&catalog, kind, prior);
+  const CatalogCache cache(&catalog, kind);
+  MotivationEstimator estimator(&cache, prior);
   std::unordered_map<uint64_t, MotivationWeights> estimates;
 
   for (const LoggedEvent& event : log.events()) {
@@ -81,12 +82,12 @@ Result<std::unordered_map<uint64_t, MotivationWeights>> ReplayEstimates(
     }
     switch (event.kind) {
       case LoggedEvent::Kind::kDisplayed:
-        estimator.BeginBundle(event.worker_id, indices);
+        estimator.BeginBundle(event.worker_id, indices,
+                              worker_it->second->interests());
         break;
       case LoggedEvent::Kind::kCompleted:
         HTA_CHECK_EQ(indices.size(), size_t{1});
-        estimator.ObserveCompletion(event.worker_id, indices[0],
-                                    *worker_it->second);
+        estimator.ObserveCompletion(event.worker_id, indices[0]);
         break;
       case LoggedEvent::Kind::kRegistered:
       case LoggedEvent::Kind::kDeregistered:

@@ -54,8 +54,10 @@ class EventLog {
 
 /// Replays an event log through the Section III estimator and returns
 /// the final (alpha, beta) estimate per worker. `workers` supplies the
-/// interest vectors (matched by worker id); tasks are resolved by id
-/// against `catalog`. Fails on unknown worker or task ids.
+/// interest vectors (matched by worker id; they must share the
+/// catalog's keyword universe); tasks are resolved by id against
+/// `catalog`, over a CatalogCache built for the replay. Fails on
+/// unknown worker or task ids.
 Result<std::unordered_map<uint64_t, MotivationWeights>> ReplayEstimates(
     const EventLog& log, const std::vector<Task>& catalog,
     const std::vector<Worker>& workers,

@@ -6,98 +6,76 @@
 
 namespace hta {
 
-MotivationEstimator::MotivationEstimator(const std::vector<Task>* catalog,
-                                         DistanceKind kind,
+MotivationEstimator::MotivationEstimator(const CatalogCache* cache,
                                          MotivationWeights prior)
-    : catalog_(catalog), kind_(kind), prior_(prior) {
-  HTA_CHECK(catalog != nullptr);
-}
-
-void MotivationEstimator::AttachSharedCache(const CatalogCache* cache) {
+    : cache_(cache), prior_(prior) {
   HTA_CHECK(cache != nullptr);
-  HTA_CHECK(&cache->catalog() == catalog_);
-  HTA_CHECK(cache->kind() == kind_);
-  shared_cache_ = cache;
-}
-
-void MotivationEstimator::AttachSessionRelevance(
-    const SessionRelevanceCache* rows) {
-  HTA_CHECK(rows != nullptr);
-  session_rel_ = rows;
-}
-
-double MotivationEstimator::Distance(size_t a, size_t b) const {
-  if (shared_cache_ != nullptr) return shared_cache_->Distance(a, b);
-  return PairwiseTaskDiversity(kind_, (*catalog_)[a], (*catalog_)[b]);
-}
-
-double MotivationEstimator::Relevance(uint64_t worker_id, size_t catalog_task,
-                                      const Worker& worker) const {
-  if (session_rel_ != nullptr) {
-    // The row was built from the session's immutable interests — the
-    // same vector `worker` carries — by the batched kernels, so a hit
-    // equals the scalar evaluation bit-for-bit.
-    const double* row = session_rel_->Row(worker_id);
-    if (row != nullptr) return row[catalog_task];
-  }
-  return TaskRelevance(kind_, (*catalog_)[catalog_task], worker);
 }
 
 void MotivationEstimator::BeginBundle(
-    uint64_t worker_id, const std::vector<size_t>& bundle_catalog_indices) {
+    uint64_t worker_id, const std::vector<size_t>& bundle_catalog_indices,
+    const KeywordVector& interests) {
+  const PackedSetMatrix& catalog_rows = cache_->packed();
+  HTA_CHECK_EQ(interests.universe_size(), catalog_rows.universe_size());
   WorkerState& state = states_[worker_id];
   state.bundle = bundle_catalog_indices;
   state.completed.clear();
+  // One |bundle| x 1 sweep: rel[k] = 1 - d(catalog row bundle[k],
+  // interests), the kernel the solver's relevance table runs.
+  const PackedSetMatrix rows = PackedSetMatrix::GatherRows(
+      catalog_rows, state.bundle.data(), state.bundle.size());
+  state.relevance.resize(state.bundle.size());
+  RectangularRelevance(rows, PackedSetMatrix::FromVectors({interests}),
+                       cache_->kind(), state.relevance.data(),
+                       /*max_threads=*/1);
 }
 
 void MotivationEstimator::ObserveCompletion(uint64_t worker_id,
-                                            size_t catalog_task,
-                                            const Worker& worker) {
-  HTA_CHECK_LT(catalog_task, catalog_->size());
+                                            size_t catalog_task) {
+  HTA_CHECK_LT(catalog_task, cache_->catalog().size());
   auto it = states_.find(worker_id);
   if (it == states_.end()) return;
   WorkerState& state = it->second;
-  if (std::find(state.bundle.begin(), state.bundle.end(), catalog_task) ==
-      state.bundle.end()) {
+  const auto pos =
+      std::find(state.bundle.begin(), state.bundle.end(), catalog_task);
+  if (pos == state.bundle.end()) {
     return;  // Not part of the optimized bundle: no signal.
   }
-  if (std::find(state.completed.begin(), state.completed.end(),
-                catalog_task) != state.completed.end()) {
+  const auto is_completed = [&](size_t t) {
+    return std::find(state.completed.begin(), state.completed.end(), t) !=
+           state.completed.end();
+  };
+  if (is_completed(catalog_task)) {
     return;  // Duplicate completion notification.
   }
 
-  // Remaining bundle tasks the worker could have chosen instead
-  // (T^{i-1}_w minus already-completed ones; includes catalog_task).
-  std::vector<size_t> remaining;
-  for (size_t t : state.bundle) {
-    if (std::find(state.completed.begin(), state.completed.end(), t) ==
-        state.completed.end()) {
-      remaining.push_back(t);
-    }
-  }
-
-  // Diversity component: marginal gain over completed prefix.
+  // Each component is normalized by its maximum over the bundle tasks
+  // the worker could have chosen instead (T^{i-1}_w minus the completed
+  // ones; includes catalog_task).
   double gain = 0.0;
-  for (size_t prev : state.completed) gain += Distance(catalog_task, prev);
-  double max_gain = 0.0;
-  for (size_t candidate : remaining) {
-    double g = 0.0;
-    for (size_t prev : state.completed) g += Distance(candidate, prev);
-    max_gain = std::max(max_gain, g);
+  for (size_t prev : state.completed) {
+    gain += cache_->Distance(catalog_task, prev);
   }
+  double max_gain = 0.0;
+  double max_rel = 0.0;
+  for (size_t k = 0; k < state.bundle.size(); ++k) {
+    const size_t candidate = state.bundle[k];
+    if (is_completed(candidate)) continue;
+    double g = 0.0;
+    for (size_t prev : state.completed) g += cache_->Distance(candidate, prev);
+    max_gain = std::max(max_gain, g);
+    max_rel = std::max(max_rel, state.relevance[k]);
+  }
+  // Diversity component: marginal gain over the completed prefix.
   if (max_gain > 0.0) {
     state.diversity_gain_sum += gain / max_gain;
     ++state.diversity_gain_count;
   }
-
   // Relevance component.
-  const double rel = Relevance(worker_id, catalog_task, worker);
-  double max_rel = 0.0;
-  for (size_t candidate : remaining) {
-    max_rel = std::max(max_rel, Relevance(worker_id, candidate, worker));
-  }
   if (max_rel > 0.0) {
-    state.relevance_gain_sum += rel / max_rel;
+    state.relevance_gain_sum +=
+        state.relevance[static_cast<size_t>(pos - state.bundle.begin())] /
+        max_rel;
     ++state.relevance_gain_count;
   }
 

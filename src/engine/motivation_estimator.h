@@ -6,10 +6,8 @@
 #include <vector>
 
 #include "core/catalog_cache.h"
-#include "core/distance.h"
-#include "core/task.h"
+#include "core/keyword_vector.h"
 #include "core/worker.h"
-#include "engine/session_relevance_cache.h"
 
 namespace hta {
 
@@ -31,41 +29,34 @@ namespace hta {
 /// relevance) carry no preference signal and are skipped for that
 /// component.
 ///
-/// Tasks are referenced by their index into a fixed catalog vector,
-/// which must outlive the estimator.
+/// Tasks are referenced by their index into the catalog of `cache`,
+/// which (with its catalog) must outlive the estimator. Distances come
+/// from the cache's packed rows; each bundle's relevance is swept once
+/// when the bundle begins, so a completion computes no relevance. Both
+/// share DistanceFromCounts with PairwiseTaskDiversity and
+/// TaskRelevance, so every estimate equals the scalar definition
+/// bit-for-bit.
 class MotivationEstimator {
  public:
-  MotivationEstimator(const std::vector<Task>* catalog, DistanceKind kind,
-                      MotivationWeights prior = MotivationWeights{0.5, 0.5});
-
-  /// Routes the estimator's pairwise distances through a warm catalog
-  /// cache (must be over the same catalog and kind, and outlive the
-  /// estimator). Values stay bit-identical to the scalar path — the
-  /// cache replicates PairwiseTaskDiversity exactly — so attaching it
-  /// never changes an estimate, only the cost of producing it.
-  void AttachSharedCache(const CatalogCache* cache);
-
-  /// Routes the estimator's task-relevance evaluations through the
-  /// engine's persistent per-session rows (must outlive the estimator).
-  /// A session with a cached row gets O(1) lookups instead of a scalar
-  /// TaskRelevance per candidate scan; sessions without one (budget
-  /// skip) keep the scalar path. Row values come from the same
-  /// popcount kernels, so estimates are bit-identical either way.
-  void AttachSessionRelevance(const SessionRelevanceCache* rows);
+  explicit MotivationEstimator(
+      const CatalogCache* cache,
+      MotivationWeights prior = MotivationWeights{0.5, 0.5});
 
   /// Starts a new assigned bundle for the worker (called on each
-  /// assignment iteration). Progress within a previous bundle is
-  /// discarded; accumulated gain averages persist across bundles.
+  /// assignment iteration) and stores rel(t, w) for its tasks, from
+  /// the worker's `interests` (which must share the catalog's keyword
+  /// universe). Progress within a previous bundle is discarded;
+  /// accumulated gain averages persist across bundles.
   void BeginBundle(uint64_t worker_id,
-                   const std::vector<size_t>& bundle_catalog_indices);
+                   const std::vector<size_t>& bundle_catalog_indices,
+                   const KeywordVector& interests);
 
   /// Records that the worker completed `catalog_task`. The task should
   /// belong to the worker's current bundle; unknown tasks are ignored
   /// (workers may complete the extra random tasks the platform displays
   /// alongside the optimized bundle, which carry no bundle-relative
   /// signal).
-  void ObserveCompletion(uint64_t worker_id, size_t catalog_task,
-                         const Worker& worker);
+  void ObserveCompletion(uint64_t worker_id, size_t catalog_task);
 
   /// Current estimate; the prior if the worker has no usable
   /// observations yet.
@@ -78,6 +69,7 @@ class MotivationEstimator {
  private:
   struct WorkerState {
     std::vector<size_t> bundle;     // Catalog indices of the current bundle.
+    std::vector<double> relevance;  // rel(bundle[k], w), swept at begin.
     std::vector<size_t> completed;  // Completed members, in order.
     double diversity_gain_sum = 0.0;
     size_t diversity_gain_count = 0;
@@ -85,15 +77,8 @@ class MotivationEstimator {
     size_t relevance_gain_count = 0;
   };
 
-  double Distance(size_t a, size_t b) const;
-  double Relevance(uint64_t worker_id, size_t catalog_task,
-                   const Worker& worker) const;
-
-  const std::vector<Task>* catalog_;
-  DistanceKind kind_;
+  const CatalogCache* cache_;
   MotivationWeights prior_;
-  const CatalogCache* shared_cache_ = nullptr;
-  const SessionRelevanceCache* session_rel_ = nullptr;
   std::unordered_map<uint64_t, WorkerState> states_;
 };
 

@@ -29,7 +29,7 @@ struct ShardedServiceOptions {
 /// core. This front-end partitions the catalog into `num_shards`
 /// disjoint task shards — global index g lives in shard g % S at local
 /// index g / S — and gives each shard a full AssignmentService with its
-/// own TaskPool, CatalogCache, SessionRelevanceCache, and RNG stream
+/// own TaskPool, CatalogCache, and RNG stream
 /// (`seed ^ shard_id`). Sessions are routed to shards by a
 /// deterministic FNV-1a hash of the worker's interest bits, and each
 /// public entry point locks only the target shard's mutex, so traffic

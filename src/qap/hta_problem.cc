@@ -11,8 +11,8 @@ namespace hta {
 
 void HtaProblem::FillRelevanceTable(std::vector<double>* rel,
                                     size_t max_threads) const {
-  if (!relevance_override_.empty()) {
-    *rel = relevance_override_;
+  if (!relevance_.empty()) {
+    *rel = relevance_;
     return;
   }
   rel->resize(task_count() * worker_count());
@@ -96,23 +96,17 @@ Result<HtaProblem> HtaProblem::Create(const std::vector<Task>* tasks,
 
 Result<HtaProblem> HtaProblem::CreateFromSubset(
     const CatalogSubsetView* view, const std::vector<Worker>* workers,
-    size_t xmax, bool allow_non_metric,
-    std::vector<double> relevance_override) {
+    size_t xmax, bool allow_non_metric, size_t max_threads) {
   HTA_CHECK(view != nullptr);
   if (view->size() == 0) {
     return Status::InvalidArgument("HTA needs at least one task");
   }
   HTA_RETURN_IF_ERROR(ValidateWorkers(workers, xmax));
   HTA_RETURN_IF_ERROR(CheckMetric(view->kind(), allow_non_metric));
-  if (!relevance_override.empty() &&
-      relevance_override.size() != view->size() * workers->size()) {
-    return Status::InvalidArgument(
-        "relevance override must be |T| x |W| = " +
-        std::to_string(view->size() * workers->size()) + " entries, got " +
-        std::to_string(relevance_override.size()));
-  }
   HtaProblem problem(workers, xmax, TaskDistanceOracle::FromSharedCache(view));
-  problem.relevance_override_ = std::move(relevance_override);
+  std::vector<double> rel;
+  problem.FillRelevanceTable(&rel, max_threads);
+  problem.relevance_ = std::move(rel);
   return problem;
 }
 
@@ -120,7 +114,7 @@ HtaProblem HtaProblem::WithWorkers(const std::vector<Worker>* workers) const {
   HTA_CHECK(workers != nullptr);
   HTA_CHECK_EQ(workers->size(), workers_->size());
   HtaProblem copy(workers, xmax_, oracle_);
-  copy.relevance_override_ = relevance_override_;
+  copy.relevance_ = relevance_;
   return copy;
 }
 
@@ -145,7 +139,7 @@ Result<HtaProblem> HtaProblem::CreateWithMatrices(
       TaskDistanceOracle::FromDenseMatrix(tasks, DistanceKind::kJaccard,
                                           distances));
   HtaProblem problem(workers, xmax, std::move(oracle));
-  problem.relevance_override_ = relevance;
+  problem.relevance_ = relevance;
   return problem;
 }
 

@@ -49,30 +49,25 @@ class HtaProblem {
       const std::vector<double>& relevance);
 
   /// Builds a problem over a zero-copy catalog subset view (the warm
-  /// path of the online engine): no Task copies, distances and
-  /// relevance resolve through the view's shared CatalogCache. O(1) in
-  /// the subset size. The view (and its cache/catalog) must outlive the
+  /// path of the online engine): no Task copies, distances resolve
+  /// through the view's shared CatalogCache. The |T| x |W| relevance
+  /// table is swept once here from the catalog's packed rows (the
+  /// kernel FillRelevanceTable runs; `max_threads` caps it, 0 = pool
+  /// size), so every later Relevance() and FillRelevanceTable() call
+  /// reads it. The view (and its cache/catalog) must outlive the
   /// problem. The metric is the view's kind. Validation matches
   /// Create's.
-  ///
-  /// A non-empty `relevance_override` (row-major |T| x |W|, matching
-  /// FillRelevanceTable's layout) pre-supplies every rel(t, q) — the
-  /// engine's SessionRelevanceCache gathers it from persistent
-  /// per-session rows so no iteration re-runs the rectangular sweep.
-  /// Values must be what the sweep would produce (the session rows are
-  /// built by the same kernels, so this holds bit-exactly); only the
-  /// size is validated.
   static Result<HtaProblem> CreateFromSubset(
       const CatalogSubsetView* view, const std::vector<Worker>* workers,
-      size_t xmax, bool allow_non_metric = false,
-      std::vector<double> relevance_override = {});
+      size_t xmax, bool allow_non_metric = false, size_t max_threads = 0);
 
   /// A copy of this problem with the worker list replaced (same tasks,
   /// same oracle — including a shared subset view or dense-matrix
-  /// override — same xmax). `workers` must outlive the copy and have
-  /// the original worker count; the fixed-weight baseline strategies
-  /// use this to re-solve under overridden weights without rebuilding
-  /// the task side.
+  /// override — same xmax, same relevance table). `workers` must
+  /// outlive the copy, have the original worker count and the original
+  /// interests (relevance does not depend on alpha/beta); the
+  /// fixed-weight baseline strategies use this to re-solve under
+  /// overridden weights without rebuilding the task side.
   HtaProblem WithWorkers(const std::vector<Worker>* workers) const;
 
   const std::vector<Worker>& workers() const { return *workers_; }
@@ -91,19 +86,18 @@ class HtaProblem {
   /// Fills `rel` (resized to task_count() * worker_count(), row-major
   /// rel[t * |W| + q]) with Relevance(t, q) for every pair — the dense
   /// table behind the tabulated LSAP profits and the local-search
-  /// bundle cache. With an override matrix the table is a copy;
-  /// otherwise the rectangular SoA relevance kernel computes the same
-  /// doubles as TaskRelevance, parallelized over task-row blocks
-  /// (`max_threads` caps threads, 0 = pool size).
+  /// bundle cache. A problem that holds a table (matrices or subset)
+  /// copies it; otherwise the rectangular SoA relevance kernel computes
+  /// the same doubles as TaskRelevance, parallelized over task-row
+  /// blocks (`max_threads` caps threads, 0 = pool size).
   void FillRelevanceTable(std::vector<double>* rel,
                           size_t max_threads = 0) const;
 
-  /// rel(t_k, w_q): the override matrix when present, otherwise derived
+  /// rel(t_k, w_q): the held table when present, otherwise derived
   /// from keyword vectors under the problem's metric.
   double Relevance(TaskIndex task, WorkerIndex worker) const {
-    if (!relevance_override_.empty()) {
-      return relevance_override_[static_cast<size_t>(task) * worker_count() +
-                                 worker];
+    if (!relevance_.empty()) {
+      return relevance_[static_cast<size_t>(task) * worker_count() + worker];
     }
     return TaskRelevance(oracle_.kind(), oracle_.task(task),
                          (*workers_)[worker]);
@@ -122,7 +116,9 @@ class HtaProblem {
   const std::vector<Worker>* workers_;
   size_t xmax_;
   TaskDistanceOracle oracle_;
-  std::vector<double> relevance_override_;  // Empty unless matrices given.
+  /// rel[t * |W| + q]: the caller's matrix (CreateWithMatrices) or the
+  /// sweep (CreateFromSubset); empty for Create, which stays lazy.
+  std::vector<double> relevance_;
 };
 
 }  // namespace hta

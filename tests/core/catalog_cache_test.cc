@@ -3,15 +3,18 @@
 // zero-copy subset views with non-contiguous remaps, GatherRows
 // bit-identity, the shared-cache oracle, and subset-view HtaProblem
 // construction solving bit-identically to a cold Create over copied
-// tasks.
+// tasks, and FillRelevanceRow against the scalar and swept relevance.
 #include "core/catalog_cache.h"
 
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "assign/baselines.h"
 #include "core/distance.h"
+#include "core/packed_set.h"
 #include "core/task.h"
 #include "core/worker.h"
 #include "qap/hta_problem.h"
@@ -195,6 +198,63 @@ TEST(CatalogSubsetViewTest, EmptySubsetIsRejectedByCreateFromSubset) {
   EXPECT_FALSE(problem.ok());
   EXPECT_EQ(problem.status().code(), StatusCode::kInvalidArgument);
 }
+
+// A full catalog relevance row equals, EXPECT_EQ and not just close,
+// both the scalar TaskRelevance reference and a fresh batched
+// RectangularRelevance sweep, for every kind and several thread caps.
+// (The suite keeps the name it had next to the per-session rows.)
+class SessionRelevanceBitIdentity
+    : public ::testing::TestWithParam<std::tuple<DistanceKind, size_t>> {};
+
+TEST_P(SessionRelevanceBitIdentity, RowsMatchScalarAndRectangularSweeps) {
+  const DistanceKind kind = std::get<0>(GetParam());
+  const size_t threads = std::get<1>(GetParam());
+  constexpr size_t kUniverse = 64;
+  const auto catalog = RandomCatalog(181, kUniverse, /*seed=*/11);
+  Rng rng(12);
+  std::vector<KeywordVector> interests;
+  for (size_t w = 0; w < 5; ++w) {
+    KeywordVector v(kUniverse);
+    for (int b = 0; b < 4; ++b) {
+      v.Set(static_cast<KeywordId>(rng.NextBounded(kUniverse)));
+    }
+    interests.push_back(v);
+  }
+  const CatalogCache cache(&catalog, kind);
+
+  // One fresh batched catalog x workers sweep: the kernel behind every
+  // solver relevance table.
+  std::vector<double> swept(catalog.size() * interests.size());
+  RectangularRelevance(cache.packed(), PackedSetMatrix::FromVectors(interests),
+                       kind, swept.data(), threads);
+
+  std::vector<double> row(catalog.size());
+  for (size_t q = 0; q < interests.size(); ++q) {
+    cache.FillRelevanceRow(interests[q], row.data(), threads);
+    const Worker worker(100 + q, interests[q]);
+    for (size_t t = 0; t < catalog.size(); ++t) {
+      EXPECT_EQ(row[t], TaskRelevance(kind, catalog[t], worker))
+          << "kind=" << DistanceKindName(kind) << " threads=" << threads
+          << " q=" << q << " t=" << t;
+      EXPECT_EQ(row[t], swept[t * interests.size() + q]) << "t=" << t;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    KindsAndThreads, SessionRelevanceBitIdentity,
+    ::testing::Combine(::testing::ValuesIn(kAllKinds),
+                       ::testing::Values(size_t{0}, size_t{1}, size_t{2},
+                                         size_t{4})),
+    [](const ::testing::TestParamInfo<std::tuple<DistanceKind, size_t>>&
+           info) {
+      std::string name = DistanceKindName(std::get<0>(info.param)) +
+                         "_threads" + std::to_string(std::get<1>(info.param));
+      for (char& ch : name) {
+        if (ch == '-') ch = '_';
+      }
+      return name;
+    });
 
 }  // namespace
 }  // namespace hta

@@ -214,5 +214,16 @@ TEST(AssignmentServiceTest, ManyWorkersSharedIteration) {
   }
 }
 
+// Interests from another keyword universe abort at registration, in
+// every build type, before any relevance kernel reads them.
+TEST(AssignmentServiceDeathTest, WrongUniverseInterestsAbortAtRegistration) {
+  const Catalog catalog = SmallCatalog();
+  AssignmentService service(&catalog.tasks,
+                            SmallServiceOptions(StrategyKind::kHtaGre));
+  const size_t universe = catalog.tasks[0].keywords().universe_size();
+  EXPECT_DEATH(service.RegisterWorker(KeywordVector(universe + 64, {1, 2})),
+               "keyword universe");
+}
+
 }  // namespace
 }  // namespace hta

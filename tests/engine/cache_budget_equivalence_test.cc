@@ -1,11 +1,9 @@
-// Cache-budget engine equivalence: two AssignmentServices over the same
-// catalog — one with warm caches (the default session-row budget, so
-// every session's relevance row is live), one with cold caches (a zero
-// row budget, so every relevance query is recomputed from the packed
-// rows) — are driven through an identical scripted deployment and must
-// stay EXPECT_EQ-identical at every observable step: displayed bundles
-// after every registration and completion, weight estimates, pool
-// state, and the full iteration-record stream (bit-identical
+// Thread-cap engine equivalence: two AssignmentServices over the same
+// catalog — one solving at the parameterized solver thread cap, one
+// serial — are driven through an identical scripted deployment and
+// must stay EXPECT_EQ-identical at every observable step: displayed
+// bundles after every registration and completion, weight estimates,
+// pool state, and the full iteration-record stream (bit-identical
 // objectives). The script is exercised across every DistanceKind
 // (including the non-metric Dice) and several solver thread caps.
 // (Subset-view solves against solves over task copies are pinned by
@@ -20,11 +18,6 @@
 
 namespace hta {
 namespace {
-
-AssignmentServiceOptions ColdCaches(AssignmentServiceOptions options) {
-  options.session_relevance_bytes = 0;
-  return options;
-}
 
 std::vector<Task> RandomCatalog(size_t n, size_t universe, uint64_t seed) {
   Rng rng(seed);
@@ -55,6 +48,7 @@ std::vector<KeywordVector> RandomInterests(size_t count, size_t universe,
   return out;
 }
 
+// Named for the warm/cold session-row comparison this suite used to run.
 class WarmColdEquivalenceTest
     : public ::testing::TestWithParam<std::tuple<DistanceKind, size_t>> {};
 
@@ -76,46 +70,48 @@ TEST_P(WarmColdEquivalenceTest, ScriptedDeploymentIsBitIdentical) {
   options.solver_threads = solver_threads;
   options.seed = 77;
 
-  AssignmentService warm(&catalog, options);
-  AssignmentService cold(&catalog, ColdCaches(options));
-  ASSERT_NE(warm.session_relevance(), nullptr);
-  ASSERT_EQ(cold.session_relevance(), nullptr);
+  AssignmentService capped(&catalog, options);
+  options.solver_threads = 1;
+  AssignmentService serial(&catalog, options);
 
   std::vector<uint64_t> ids;
   const auto expect_same_state = [&] {
     for (uint64_t id : ids) {
-      ASSERT_EQ(warm.Displayed(id), cold.Displayed(id)) << "worker " << id;
-      const MotivationWeights ww = warm.CurrentWeights(id);
-      const MotivationWeights cw = cold.CurrentWeights(id);
-      EXPECT_EQ(ww.alpha, cw.alpha);
-      EXPECT_EQ(ww.beta, cw.beta);
+      ASSERT_EQ(capped.Displayed(id), serial.Displayed(id))
+          << "worker " << id;
+      const MotivationWeights cap_w = capped.CurrentWeights(id);
+      const MotivationWeights ser_w = serial.CurrentWeights(id);
+      EXPECT_EQ(cap_w.alpha, ser_w.alpha);
+      EXPECT_EQ(cap_w.beta, ser_w.beta);
     }
-    EXPECT_EQ(warm.pool().available_count(), cold.pool().available_count());
-    EXPECT_EQ(warm.pool().completed_count(), cold.pool().completed_count());
+    EXPECT_EQ(capped.pool().available_count(),
+              serial.pool().available_count());
+    EXPECT_EQ(capped.pool().completed_count(),
+              serial.pool().completed_count());
   };
 
   for (const KeywordVector& v : interests) {
-    const uint64_t warm_id = warm.RegisterWorker(v);
-    const uint64_t cold_id = cold.RegisterWorker(v);
-    ASSERT_EQ(warm_id, cold_id);
-    ids.push_back(warm_id);
+    const uint64_t capped_id = capped.RegisterWorker(v);
+    const uint64_t serial_id = serial.RegisterWorker(v);
+    ASSERT_EQ(capped_id, serial_id);
+    ids.push_back(capped_id);
     expect_same_state();
   }
 
   for (size_t round = 0; round < 4; ++round) {
     for (uint64_t id : ids) {
       for (size_t c = 0; c < 2; ++c) {
-        const std::vector<size_t> displayed = warm.Displayed(id);
+        const std::vector<size_t> displayed = capped.Displayed(id);
         if (displayed.empty()) break;
-        ASSERT_TRUE(warm.NotifyCompleted(id, displayed.front()).ok());
-        ASSERT_TRUE(cold.NotifyCompleted(id, displayed.front()).ok());
+        ASSERT_TRUE(capped.NotifyCompleted(id, displayed.front()).ok());
+        ASSERT_TRUE(serial.NotifyCompleted(id, displayed.front()).ok());
         expect_same_state();
       }
     }
     if (round == 1) {
       // A mid-deployment departure must not disturb equivalence.
-      warm.Deregister(ids.back());
-      cold.Deregister(ids.back());
+      capped.Deregister(ids.back());
+      serial.Deregister(ids.back());
       ids.pop_back();
       expect_same_state();
     }
@@ -123,14 +119,14 @@ TEST_P(WarmColdEquivalenceTest, ScriptedDeploymentIsBitIdentical) {
 
   // The full iteration stream matches record for record; timings are
   // the only fields allowed to differ.
-  ASSERT_EQ(warm.iteration_count(), cold.iteration_count());
-  for (size_t i = 0; i < warm.iteration_count(); ++i) {
-    const IterationRecord& w = warm.iterations()[i];
-    const IterationRecord& c = cold.iterations()[i];
-    EXPECT_EQ(w.iteration, c.iteration);
-    EXPECT_EQ(w.worker_count, c.worker_count);
-    EXPECT_EQ(w.task_count, c.task_count);
-    EXPECT_EQ(w.motivation, c.motivation) << "iteration " << i;
+  ASSERT_EQ(capped.iteration_count(), serial.iteration_count());
+  for (size_t i = 0; i < capped.iteration_count(); ++i) {
+    const IterationRecord& a = capped.iterations()[i];
+    const IterationRecord& b = serial.iterations()[i];
+    EXPECT_EQ(a.iteration, b.iteration);
+    EXPECT_EQ(a.worker_count, b.worker_count);
+    EXPECT_EQ(a.task_count, b.task_count);
+    EXPECT_EQ(a.motivation, b.motivation) << "iteration " << i;
   }
 }
 
@@ -151,52 +147,6 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return name;
     });
-
-// A partial session-row budget that fits exactly two rows — so the
-// first two workers' relevance is gathered (by solver tables and
-// estimator scans alike) while the third's falls back to the
-// per-iteration sweep — still matches the all-cold service. Distances
-// come from the packed rows on both.
-TEST(WarmColdEquivalenceTest, ZeroDistanceBudgetStaysEquivalent) {
-  constexpr size_t kUniverse = 40;
-  const auto catalog = RandomCatalog(120, kUniverse, 31);
-  const auto interests = RandomInterests(3, kUniverse, 32);
-
-  AssignmentServiceOptions options;
-  options.xmax = 4;
-  options.extra_random_tasks = 1;
-  options.refresh_after_completions = 2;
-  options.max_tasks_per_iteration = 30;
-  options.seed = 7;
-  options.session_relevance_bytes = 2 * catalog.size() * sizeof(double);
-
-  AssignmentService warm(&catalog, options);
-  AssignmentService cold(&catalog, ColdCaches(options));
-  ASSERT_NE(warm.session_relevance(), nullptr);
-
-  std::vector<uint64_t> ids;
-  for (const KeywordVector& v : interests) {
-    ids.push_back(warm.RegisterWorker(v));
-    ASSERT_EQ(cold.RegisterWorker(v), ids.back());
-  }
-  EXPECT_EQ(warm.session_relevance()->session_count(), 2u);
-  for (size_t step = 0; step < 30; ++step) {
-    const uint64_t id = ids[step % ids.size()];
-    const std::vector<size_t> displayed = warm.Displayed(id);
-    if (displayed.empty()) continue;
-    ASSERT_TRUE(warm.NotifyCompleted(id, displayed.front()).ok());
-    ASSERT_TRUE(cold.NotifyCompleted(id, displayed.front()).ok());
-    for (uint64_t w : ids) {
-      ASSERT_EQ(warm.Displayed(w), cold.Displayed(w));
-      EXPECT_EQ(warm.CurrentWeights(w).alpha, cold.CurrentWeights(w).alpha);
-      EXPECT_EQ(warm.CurrentWeights(w).beta, cold.CurrentWeights(w).beta);
-    }
-  }
-  ASSERT_EQ(warm.iteration_count(), cold.iteration_count());
-  for (size_t i = 0; i < warm.iteration_count(); ++i) {
-    EXPECT_EQ(warm.iterations()[i].motivation, cold.iterations()[i].motivation);
-  }
-}
 
 }  // namespace
 }  // namespace hta

@@ -42,21 +42,22 @@ class EstimatorConsistencyTest : public ::testing::Test {
         catalog_.tasks[rng.NextBounded(catalog_.size())].keywords();
     BehavioralWorker worker(&catalog_.tasks, DistanceKind::kJaccard,
                             Worker(seed, interests), params, rng.Fork(1));
-    MotivationEstimator estimator(&catalog_.tasks, DistanceKind::kJaccard);
+    const CatalogCache cache(&catalog_.tasks, DistanceKind::kJaccard);
+    MotivationEstimator estimator(&cache);
 
     int done = 0;
     while (done < completions) {
       // A fresh random bundle each refresh, like the platform's display.
       std::vector<size_t> bundle =
           rng.SampleWithoutReplacement(catalog_.size(), 12);
-      estimator.BeginBundle(seed, bundle);
+      estimator.BeginBundle(seed, bundle, interests);
       for (int k = 0; k < 6 && done < completions; ++k, ++done) {
         // The worker picks among the not-yet-completed bundle tasks
         // (the estimator tracks completion internally; the local erase
         // below keeps the choice set in sync).
         const size_t chosen = worker.ChooseTask(bundle);
         worker.RecordCompletion(chosen);
-        estimator.ObserveCompletion(seed, chosen, worker.profile());
+        estimator.ObserveCompletion(seed, chosen);
         // Remove chosen from the local bundle view.
         bundle.erase(std::find(bundle.begin(), bundle.end(), chosen));
       }

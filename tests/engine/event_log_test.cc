@@ -45,10 +45,11 @@ TEST(ReplayTest, RecoversEstimatorState) {
   ASSERT_TRUE(replayed.ok());
   ASSERT_TRUE(replayed->count(7));
 
-  MotivationEstimator direct(&catalog, DistanceKind::kJaccard);
-  direct.BeginBundle(7, {0, 1, 2});
-  direct.ObserveCompletion(7, 0, workers[0]);
-  direct.ObserveCompletion(7, 2, workers[0]);
+  const CatalogCache cache(&catalog, DistanceKind::kJaccard);
+  MotivationEstimator direct(&cache);
+  direct.BeginBundle(7, {0, 1, 2}, workers[0].interests());
+  direct.ObserveCompletion(7, 0);
+  direct.ObserveCompletion(7, 2);
   const MotivationWeights expected = direct.Estimate(7);
   EXPECT_DOUBLE_EQ(replayed->at(7).alpha, expected.alpha);
   EXPECT_DOUBLE_EQ(replayed->at(7).beta, expected.beta);

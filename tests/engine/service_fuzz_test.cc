@@ -259,7 +259,6 @@ TEST_P(WarmStartChurn, WarmBundlesNeverWorseOnAlignedRefreshes) {
   options.warm_start = true;
   AssignmentService warm(&catalog->tasks, options);
   ASSERT_TRUE(warm.options().warm_start);
-  ASSERT_NE(warm.session_relevance(), nullptr);
 
   // The script drives both services through identical operations:
   // register four workers, run completion rounds, expire two sessions
@@ -278,7 +277,6 @@ TEST_P(WarmStartChurn, WarmBundlesNeverWorseOnAlignedRefreshes) {
     const uint64_t id = active[pos];
     cold.Deregister(id);
     warm.Deregister(id);
-    EXPECT_FALSE(warm.session_relevance()->Contains(id));
     active.erase(active.begin() + static_cast<ptrdiff_t>(pos));
   };
   double cold_quality_sum = 0.0;

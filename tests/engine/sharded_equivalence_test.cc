@@ -463,5 +463,19 @@ TEST(ShardedServiceTest, EnvOverrideControlsShardCount) {
   }
 }
 
+// A shard's service rejects interests from another keyword universe
+// at registration, whichever shard the hash routes them to.
+TEST(ShardedServiceDeathTest, WrongUniverseInterestsAbortAtRegistration) {
+  ScopedEnv pin_shards("HTA_SHARDS", "2");
+  const auto catalog = RandomCatalog(60, 40, 11);
+  ShardedServiceOptions options;
+  options.num_shards = 2;
+  options.service.xmax = 4;
+  ShardedAssignmentService service(&catalog, options);
+  ASSERT_EQ(service.num_shards(), size_t{2});
+  EXPECT_DEATH(service.RegisterWorker(KeywordVector(40 + 64, {1, 2})),
+               "keyword universe");
+}
+
 }  // namespace
 }  // namespace hta
