@@ -9,7 +9,6 @@
 // shrinks with the shard count *and* shards serve concurrently;
 // sustained completions/sec is the headline, with p50/p99 solve
 // latency from the util/metrics histograms alongside.
-#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -191,13 +190,6 @@ void CheckBitIdentical(const RunOutcome& unsharded, const RunOutcome& one_shard,
 }  // namespace
 
 int main() {
-  // The bench sweeps shard and thread counts itself; environment
-  // overrides would silently retarget every run. Warm start changes
-  // assignments (and shrinks solves) — pin it off so the measured
-  // effect is sharding alone, as in A13.
-  unsetenv("HTA_SHARDS");
-  unsetenv("HTA_DRIVER_THREADS");
-  setenv("HTA_WARM_START", "0", /*overwrite=*/1);
   bench::PrintBanner("ablation: sharded serving throughput",
                      "serving-layer scale-out (ROADMAP north star; "
                      "Section V-C deployment shape)");

@@ -1,9 +1,9 @@
 // A14 — Ablation: cross-iteration warm-start solve path. With
-// HTA_WARM_START=1 the engine seeds each iteration's local search from
-// the due worker's surviving bundle (carry-over + delta repair) instead
-// of re-running matching + greedy LSAP from scratch; this bench drives
-// the same scripted deployment cold and warm at three pool-churn rates
-// (the fraction of a bundle completed between refreshes:
+// AssignmentServiceOptions::warm_start on, the engine seeds each
+// iteration's local search from the due worker's surviving bundle
+// (carry-over + delta repair) instead of re-running matching + greedy
+// LSAP from scratch; this bench drives the same scripted deployment
+// cold and warm at three pool-churn rates (the fraction of a bundle completed between refreshes:
 // refresh_after_completions / xmax) and compares mean per-iteration
 // solve time and per-iteration motivation. The auditor is forced on for
 // both modes, so every carried seed and final assignment is
@@ -127,11 +127,8 @@ int main() {
   using namespace hta;
   // The carry-over contract is only meaningful audited: force the
   // auditor on (before anything latches AuditEnabled) unless the caller
-  // explicitly chose otherwise. And since this bench *is* the warm-start
-  // comparison, it owns the knob — a global HTA_WARM_START would force
-  // both arms onto one path.
+  // explicitly chose otherwise.
   setenv("HTA_AUDIT", "1", /*overwrite=*/0);
-  unsetenv("HTA_WARM_START");
   bench::PrintBanner(
       "ablation: cross-iteration warm-start solve path",
       "online service under churn (Section V-C setup, warm-start extension)");

@@ -67,43 +67,6 @@ Result<HtaSolveResult> SolveRandomAssignment(const HtaProblem& problem,
   return result;
 }
 
-Result<HtaSolveResult> SolveGreedyRelevance(const HtaProblem& problem) {
-  WallTimer timer;
-  HtaSolveResult result;
-  result.assignment.bundles.assign(problem.worker_count(), {});
-  std::vector<bool> taken(problem.task_count(), false);
-  size_t assigned = 0;
-  const size_t capacity = problem.worker_count() * problem.xmax();
-  const size_t target = std::min(problem.task_count(), capacity);
-  while (assigned < target) {
-    bool progressed = false;
-    for (size_t q = 0; q < problem.worker_count() && assigned < target; ++q) {
-      TaskBundle& bundle = result.assignment.bundles[q];
-      if (bundle.size() >= problem.xmax()) continue;
-      double best_rel = -1.0;
-      size_t best_task = problem.task_count();
-      for (size_t t = 0; t < problem.task_count(); ++t) {
-        if (taken[t]) continue;
-        const double rel = problem.Relevance(static_cast<TaskIndex>(t),
-                                             static_cast<WorkerIndex>(q));
-        if (rel > best_rel) {
-          best_rel = rel;
-          best_task = t;
-        }
-      }
-      if (best_task == problem.task_count()) break;
-      taken[best_task] = true;
-      bundle.push_back(static_cast<TaskIndex>(best_task));
-      ++assigned;
-      progressed = true;
-    }
-    if (!progressed) break;
-  }
-  result.stats.motivation = TotalMotivation(problem, result.assignment);
-  result.stats.total_seconds = timer.ElapsedSeconds();
-  return result;
-}
-
 Result<HtaSolveResult> SolveWithStrategy(const HtaProblem& problem,
                                          StrategyKind kind, uint64_t seed,
                                          Rng* rng, SwapMode swap,

@@ -38,12 +38,6 @@ Result<HtaSolveResult> SolveWithFixedWeights(
 Result<HtaSolveResult> SolveRandomAssignment(const HtaProblem& problem,
                                              Rng* rng);
 
-/// Relevance-greedy baseline (no diversity, no LSAP): workers take
-/// turns picking their most relevant remaining task until everyone has
-/// Xmax tasks or tasks run out. A natural "self-appointment" model of
-/// how workers pick tasks on AMT.
-Result<HtaSolveResult> SolveGreedyRelevance(const HtaProblem& problem);
-
 /// Dispatches a strategy: kHtaGre solves with the workers' own weights;
 /// the fixed strategies override them; kRandom uses `rng`. `swap`
 /// selects the pair-permutation step of Algorithm 1 Lines 12-16: the

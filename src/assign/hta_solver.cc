@@ -323,7 +323,6 @@ Result<HtaSolveResult> SolveHtaWarmStart(const HtaProblem& problem,
   result.stats.motivation = refined.motivation;
   result.stats.qap_objective = refined.motivation;
   result.stats.warm_repaired_slots = refined.inserts_applied;
-  result.stats.warm_passes = refined.passes;
   result.stats.total_seconds = total_timer.ElapsedSeconds();
   if (AuditEnabled()) {
     HTA_RETURN_IF_ERROR(AssignmentAuditor(problem).Audit(

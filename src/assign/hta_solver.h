@@ -75,11 +75,9 @@ struct HtaSolveStats {
   /// that this solve achieved at least this fraction of the true
   /// optimum (typically far above the worst-case 1/4 and 1/8 factors).
   double certified_ratio = 0.0;
-  /// Warm-start diagnostics (zero for the matching+LSAP solvers):
-  /// bundle holes patched from the unassigned pool and local-search
-  /// passes run until the refined assignment stopped improving.
+  /// Warm-start diagnostic (zero for the matching+LSAP solvers): bundle
+  /// holes patched from the unassigned pool.
   size_t warm_repaired_slots = 0;
-  size_t warm_passes = 0;
 };
 
 /// A solved instance: feasible assignment plus diagnostics.

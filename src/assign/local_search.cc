@@ -227,22 +227,13 @@ Status RunPasses(const HtaProblem& problem, const LocalSearchOptions& options,
                  LocalSearchResult* result) {
   for (result->passes = 0; result->passes < options.max_passes;
        ++result->passes) {
-    bool improved_this_pass = false;
-    if (options.enable_replace) {
-      const bool improved = ReplacePassBest(problem, options, assignment,
-                                            unassigned, eval, result);
-      improved_this_pass = improved || improved_this_pass;
-    }
-    if (options.enable_exchange) {
-      const bool improved =
-          ExchangePassBest(problem, options, assignment, eval, result);
-      improved_this_pass = improved || improved_this_pass;
-    }
-    if (options.enable_insert) {
-      const bool improved =
-          InsertPass(problem, options, assignment, unassigned, eval, result);
-      improved_this_pass = improved || improved_this_pass;
-    }
+    // Every pass runs all three moves; `|=` keeps each call unconditional.
+    bool improved_this_pass = ReplacePassBest(problem, options, assignment,
+                                              unassigned, eval, result);
+    improved_this_pass |=
+        ExchangePassBest(problem, options, assignment, eval, result);
+    improved_this_pass |=
+        InsertPass(problem, options, assignment, unassigned, eval, result);
     if (auditor != nullptr) {
       HTA_RETURN_IF_ERROR(auditor->Audit(
           *assignment, result->initial_motivation + result->applied_delta));

@@ -34,9 +34,6 @@ namespace hta {
 struct LocalSearchOptions {
   /// Full passes over the neighborhood before giving up.
   size_t max_passes = 8;
-  bool enable_replace = true;
-  bool enable_exchange = true;
-  bool enable_insert = true;
   /// Caps the threads drawn from the global pool by the scan and the
   /// incremental-table updates (0 = whole pool, 1 = serial). Any value
   /// produces bit-identical results.

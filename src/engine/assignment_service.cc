@@ -4,7 +4,6 @@
 #include <optional>
 
 #include "assign/auditor.h"
-#include "util/env.h"
 #include "util/metrics.h"
 #include "util/timer.h"
 #include "util/trace.h"
@@ -54,8 +53,6 @@ AssignmentService::AssignmentService(const std::vector<Task>* catalog,
   HTA_CHECK(options_.worker_id_stride > 0) << "worker_id_stride must be >= 1";
   HTA_CHECK(catalog != nullptr);
   HTA_CHECK_GE(options_.xmax, size_t{1});
-  options_.warm_start =
-      GetEnvIntOr("HTA_WARM_START", options_.warm_start ? 1 : 0) != 0;
 }
 
 uint64_t AssignmentService::RegisterWorker(const KeywordVector& interests) {

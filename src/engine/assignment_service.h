@@ -63,8 +63,7 @@ struct AssignmentServiceOptions {
   /// full solve (counted as engine.warm_start.cold_fallbacks). Changes
   /// assignments (objective empirically no worse; every seed and result
   /// is auditor-checked under HTA_AUDIT=1) — off, every iteration runs
-  /// the full solve. The HTA_WARM_START environment variable
-  /// overrides in both directions.
+  /// the full solve.
   bool warm_start = false;
   /// Thread cap handed to every strategy solve (0 = full HTA_THREADS
   /// pool, 1 = serial). Any cap yields bit-identical assignments.

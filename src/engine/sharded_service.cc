@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "util/check.h"
-#include "util/env.h"
 #include "util/metrics.h"
 #include "util/timer.h"
 
@@ -33,12 +32,10 @@ FrontEndMetrics& Fm() {
 ShardedAssignmentService::ShardedAssignmentService(
     const std::vector<Task>* catalog, ShardedServiceOptions options)
     : catalog_(catalog), options_(options) {
-  const int64_t env_shards = GetEnvIntOr(
-      "HTA_SHARDS", static_cast<int64_t>(options_.num_shards));
-  size_t num_shards = env_shards < 1 ? 1 : static_cast<size_t>(env_shards);
   // More shards than tasks would leave empty shards whose services own
   // an empty catalog; clamp instead (a 1-task catalog is 1 shard).
-  num_shards = std::min(num_shards, std::max<size_t>(1, catalog_->size()));
+  const size_t num_shards = std::clamp<size_t>(
+      options_.num_shards, 1, std::max<size_t>(1, catalog_->size()));
   options_.num_shards = num_shards;
 
   shards_.reserve(num_shards);

@@ -12,8 +12,7 @@ namespace hta {
 
 /// Configuration of the sharded serving front-end. `service` configures
 /// every per-shard AssignmentService (seed, strategy, caches, ...); the
-/// shard count defaults to 1 and is overridden by the HTA_SHARDS
-/// environment variable when set.
+/// shard count defaults to 1.
 struct ShardedServiceOptions {
   AssignmentServiceOptions service;
   /// Disjoint task shards. Clamped to [1, catalog size] at

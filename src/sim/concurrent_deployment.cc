@@ -15,6 +15,25 @@ DeploymentMetrics& Dm() {
   return *m;
 }
 
+void AggregateIterations(const std::vector<const AssignmentService*>& services,
+                         DeploymentResult* result) {
+  double pooled_sum = 0.0;
+  size_t pooled_count = 0;
+  for (const AssignmentService* service : services) {
+    result->iterations += service->iteration_count();
+    for (const IterationRecord& record : service->iterations()) {
+      if (record.task_count > 0) {  // Solver-backed iteration.
+        pooled_sum += static_cast<double>(record.worker_count);
+        ++pooled_count;
+      }
+      result->total_setup_seconds += record.setup_seconds;
+      result->total_solve_seconds += record.solve_seconds;
+    }
+  }
+  result->mean_workers_per_iteration =
+      pooled_count > 0 ? pooled_sum / static_cast<double>(pooled_count) : 0.0;
+}
+
 }  // namespace sim_internal
 
 std::vector<double> PoissonArrivalMinutes(size_t count, double rate_per_min,
@@ -52,20 +71,7 @@ DeploymentResult RunConcurrentDeployment(
   result.deployment_minutes = stats.deployment_minutes;
   result.max_concurrent_sessions = stats.peak_concurrent;
 
-  // Deployment aggregate stats.
-  result.iterations = service->iteration_count();
-  double pooled_sum = 0.0;
-  size_t pooled_count = 0;
-  for (const IterationRecord& record : service->iterations()) {
-    if (record.task_count > 0) {  // Solver-backed iteration.
-      pooled_sum += static_cast<double>(record.worker_count);
-      ++pooled_count;
-    }
-    result.total_setup_seconds += record.setup_seconds;
-    result.total_solve_seconds += record.solve_seconds;
-  }
-  result.mean_workers_per_iteration =
-      pooled_count > 0 ? pooled_sum / static_cast<double>(pooled_count) : 0.0;
+  sim_internal::AggregateIterations({service}, &result);
   return result;
 }
 

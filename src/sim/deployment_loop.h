@@ -5,6 +5,7 @@
 #include <queue>
 #include <vector>
 
+#include "sim/concurrent_deployment.h"
 #include "sim/crowd_sim.h"
 #include "util/check.h"
 #include "util/metrics.h"
@@ -51,6 +52,13 @@ struct WorkerRun {
   bool active = false;
   SessionResult session;
 };
+
+/// Fills `result`'s iteration aggregates from the services' logs,
+/// visited in the given order: the iteration count, the summed setup
+/// and solve seconds, and the mean |W^i| pooled over every
+/// solver-backed iteration of every service.
+void AggregateIterations(const std::vector<const AssignmentService*>& services,
+                         DeploymentResult* result);
 
 /// Aggregates of one event loop: wall-clock horizon and the peak
 /// simultaneous sessions *within this loop's slot subset*.

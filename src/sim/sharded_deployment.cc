@@ -6,7 +6,6 @@
 
 #include "sim/deployment_loop.h"
 #include "util/check.h"
-#include "util/env.h"
 
 namespace hta {
 
@@ -86,10 +85,8 @@ DeploymentResult RunShardedDeployment(ShardedAssignmentService* service,
   if (workers->empty()) return result;
 
   const size_t num_shards = service->num_shards();
-  int64_t requested = static_cast<int64_t>(options.driver_threads);
-  if (requested == 0) requested = GetEnvIntOr("HTA_DRIVER_THREADS", 1);
-  const size_t driver_threads = std::min(
-      num_shards, static_cast<size_t>(std::max<int64_t>(1, requested)));
+  const size_t driver_threads =
+      std::clamp<size_t>(options.driver_threads, 1, num_shards);
 
   // The canonical arrival stream (slot order, one Rng): a sharded run
   // hands every worker the same arrival minute the unsharded driver
@@ -132,24 +129,13 @@ DeploymentResult RunShardedDeployment(ShardedAssignmentService* service,
   // All aggregation below is post-join, single-threaded, fixed shard
   // order — this is where driver-thread scheduling stops mattering.
   service->FlushEventLog();
-  double pooled_sum = 0.0;
-  size_t pooled_count = 0;
+  std::vector<const AssignmentService*> shards(num_shards);
   for (size_t s = 0; s < num_shards; ++s) {
     result.deployment_minutes =
         std::max(result.deployment_minutes, stats[s].deployment_minutes);
-    const AssignmentService& shard = service->shard(s);
-    result.iterations += shard.iteration_count();
-    for (const IterationRecord& record : shard.iterations()) {
-      if (record.task_count > 0) {  // Solver-backed iteration.
-        pooled_sum += static_cast<double>(record.worker_count);
-        ++pooled_count;
-      }
-      result.total_setup_seconds += record.setup_seconds;
-      result.total_solve_seconds += record.solve_seconds;
-    }
+    shards[s] = &service->shard(s);
   }
-  result.mean_workers_per_iteration =
-      pooled_count > 0 ? pooled_sum / static_cast<double>(pooled_count) : 0.0;
+  sim_internal::AggregateIterations(shards, &result);
   result.max_concurrent_sessions =
       num_shards == 1 ? stats[0].peak_concurrent
                       : PeakConcurrentSessions(result.sessions);

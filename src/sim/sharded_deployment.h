@@ -8,18 +8,16 @@
 
 namespace hta {
 
-/// Configuration of a sharded concurrent deployment. Arrival process
-/// and session shape match ConcurrentDeploymentOptions (same defaults,
-/// same seed semantics — the arrival stream is bit-identical to the
-/// unsharded driver's for equal (worker count, rate, seed)).
-struct ShardedDeploymentOptions {
-  double arrival_rate_per_min = 0.75;
-  SessionConfig session;
-  uint64_t seed = 99;
-  /// Load-generating threads. 0 = read HTA_DRIVER_THREADS (default 1);
-  /// always clamped to [1, num_shards] — a shard's event loop is
-  /// serial, threads only parallelize *across* shards.
-  size_t driver_threads = 0;
+/// Configuration of a sharded concurrent deployment: the arrival
+/// process and session shape of ConcurrentDeploymentOptions (same
+/// defaults, same seed semantics — the arrival stream is bit-identical
+/// to the unsharded driver's for equal (worker count, rate, seed)) plus
+/// the driver's thread count.
+struct ShardedDeploymentOptions : ConcurrentDeploymentOptions {
+  /// Load-generating threads, clamped to [1, num_shards] (0 counts as
+  /// 1) — a shard's event loop is serial, threads only parallelize
+  /// *across* shards.
+  size_t driver_threads = 1;
 };
 
 /// Runs a concurrent deployment against a sharded service: workers are

@@ -99,33 +99,6 @@ TEST(RandomAssignmentTest, DifferentDrawsDiffer) {
   EXPECT_NE(a->assignment.bundles, b->assignment.bundles);
 }
 
-TEST(GreedyRelevanceTest, EachWorkerGetsTheirTopTask) {
-  std::vector<Task> tasks;
-  tasks.emplace_back(0, KeywordVector(16, {1, 2}));
-  tasks.emplace_back(1, KeywordVector(16, {3, 4}));
-  std::vector<Worker> workers;
-  workers.emplace_back(0, KeywordVector(16, {1, 2}));  // Loves task 0.
-  workers.emplace_back(1, KeywordVector(16, {3, 4}));  // Loves task 1.
-  auto problem = HtaProblem::Create(&tasks, &workers, 1);
-  ASSERT_TRUE(problem.ok());
-  auto result = SolveGreedyRelevance(*problem);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->assignment.bundles[0], (TaskBundle{0}));
-  EXPECT_EQ(result->assignment.bundles[1], (TaskBundle{1}));
-}
-
-TEST(GreedyRelevanceTest, FeasibleOnRandomInstances) {
-  for (uint64_t seed = 0; seed < 5; ++seed) {
-    const Fixture f = RandomFixture(30, 3, 60 + seed);
-    auto problem = HtaProblem::Create(&f.tasks, &f.workers, 4);
-    ASSERT_TRUE(problem.ok());
-    auto result = SolveGreedyRelevance(*problem);
-    ASSERT_TRUE(result.ok());
-    EXPECT_TRUE(ValidateAssignment(*problem, result->assignment).ok());
-    EXPECT_EQ(result->assignment.AssignedTaskCount(), 12u);
-  }
-}
-
 TEST(StrategyDispatchTest, AllStrategiesProduceFeasibleAssignments) {
   const Fixture f = RandomFixture(40, 3, 7);
   auto problem = HtaProblem::Create(&f.tasks, &f.workers, 4);

@@ -90,17 +90,15 @@ TEST(LocalSearchTest, ReachesLocalOptimumFlagOnEasyInstance) {
 }
 
 TEST(LocalSearchTest, InsertFillsSpareCapacity) {
-  // Start from an empty assignment: inserts alone must fill bundles
-  // (adding a task never hurts with non-negative terms).
+  // Start from an empty assignment: with no bundle slot to replace or
+  // exchange, inserts must fill the bundles (adding a task never hurts
+  // with non-negative terms).
   const Fixture f = RandomFixture(30, 2, 11);
   auto problem = HtaProblem::Create(&f.tasks, &f.workers, 4);
   ASSERT_TRUE(problem.ok());
   Assignment empty;
   empty.bundles.assign(2, {});
-  LocalSearchOptions options;
-  options.enable_replace = false;
-  options.enable_exchange = false;
-  auto improved = ImproveAssignment(*problem, empty, options);
+  auto improved = ImproveAssignment(*problem, empty, LocalSearchOptions{});
   ASSERT_TRUE(improved.ok());
   EXPECT_EQ(improved->assignment.AssignedTaskCount(), 8u);
   EXPECT_GT(improved->motivation, 0.0);
@@ -142,23 +140,6 @@ TEST(LocalSearchTest, RejectsInfeasibleSeed) {
   bogus.bundles = {{0, 1, 2}, {}};  // C1 violation: 3 > xmax 2.
   EXPECT_FALSE(
       ImproveAssignment(*problem, bogus, LocalSearchOptions{}).ok());
-}
-
-TEST(LocalSearchTest, DisabledMovesRespected) {
-  const Fixture f = RandomFixture(30, 3, 13);
-  auto problem = HtaProblem::Create(&f.tasks, &f.workers, 4);
-  ASSERT_TRUE(problem.ok());
-  auto gre = SolveHtaGre(*problem, 2);
-  ASSERT_TRUE(gre.ok());
-  LocalSearchOptions options;
-  options.enable_replace = false;
-  options.enable_exchange = false;
-  options.enable_insert = false;
-  auto improved = ImproveAssignment(*problem, gre->assignment, options);
-  ASSERT_TRUE(improved.ok());
-  EXPECT_EQ(improved->improving_moves, 0u);
-  EXPECT_EQ(improved->assignment.bundles, gre->assignment.bundles);
-  EXPECT_TRUE(improved->reached_local_optimum);
 }
 
 }  // namespace

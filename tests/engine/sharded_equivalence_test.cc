@@ -2,7 +2,7 @@
 // front-end ships with.
 //
 //  1. One shard IS the unsharded service: a ShardedAssignmentService
-//     with HTA_SHARDS=1 and a bare AssignmentService over the same
+//     with num_shards = 1 and a bare AssignmentService over the same
 //     catalog are driven through an identical scripted deployment and
 //     must stay EXPECT_EQ-identical at every observable step —
 //     displayed bundles, weight estimates, pool state, and the full
@@ -16,9 +16,13 @@
 //     Sessions end mid-run throughout (voluntary leaves and expiry both
 //     Deregister from inside the loop), so the equivalence covers
 //     mid-run deregistration by construction.
+//
+//  Shard count, warm start and driver threads are set through the
+//  option fields alone; the environment never overrides them.
 #include <cstdlib>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -29,39 +33,11 @@
 #include "sim/catalog.h"
 #include "sim/sharded_deployment.h"
 #include "sim/worker_gen.h"
-#include "util/env.h"
 #include "util/rng.h"
 #include "util/status.h"
 
 namespace hta {
 namespace {
-
-/// Pins an environment variable for one test, restoring the previous
-/// state on destruction (the CI suite runs with HTA_SHARDS=4 — tests
-/// that mean "exactly one shard" must say so explicitly).
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    had_old_ = old != nullptr;
-    if (had_old_) old_ = old;
-    setenv(name, value, /*overwrite=*/1);
-  }
-  ~ScopedEnv() {
-    if (had_old_) {
-      setenv(name_.c_str(), old_.c_str(), /*overwrite=*/1);
-    } else {
-      unsetenv(name_.c_str());
-    }
-  }
-  ScopedEnv(const ScopedEnv&) = delete;
-  ScopedEnv& operator=(const ScopedEnv&) = delete;
-
- private:
-  std::string name_;
-  std::string old_;
-  bool had_old_ = false;
-};
 
 std::vector<Task> RandomCatalog(size_t n, size_t universe, uint64_t seed) {
   Rng rng(seed);
@@ -129,8 +105,6 @@ class OneShardEquivalenceTest
 TEST_P(OneShardEquivalenceTest, ScriptedDeploymentIsBitIdentical) {
   const DistanceKind kind = std::get<0>(GetParam());
   const bool warm_start = std::get<1>(GetParam());
-  ScopedEnv pin_shards("HTA_SHARDS", "1");
-  ScopedEnv pin_warm_start("HTA_WARM_START", warm_start ? "1" : "0");
   constexpr size_t kUniverse = 70;
   const auto catalog = RandomCatalog(260, kUniverse, 21);
   const auto interests = RandomInterests(5, kUniverse, 22);
@@ -143,6 +117,7 @@ TEST_P(OneShardEquivalenceTest, ScriptedDeploymentIsBitIdentical) {
   options.refresh_after_completions = 3;
   options.min_batch_workers = 2;
   options.max_tasks_per_iteration = 40;
+  options.warm_start = warm_start;
   options.seed = 77;
 
   EventLog flat_log;
@@ -238,12 +213,32 @@ struct DeploymentRun {
   size_t completions = 0;
 };
 
-DeploymentRun RunOnce(const Catalog& catalog,
-                      const std::vector<Worker>& profiles,
-                      size_t driver_threads, size_t solver_threads,
-                      bool warm_start) {
-  ScopedEnv pin_shards("HTA_SHARDS", "4");
-  ScopedEnv pin_warm_start("HTA_WARM_START", warm_start ? "1" : "0");
+/// Service options every deployment run below shares; shard count,
+/// warm start and solver threads stay at their defaults.
+ShardedServiceOptions BaseServiceOptions() {
+  ShardedServiceOptions options;
+  options.service.strategy = StrategyKind::kHtaGre;
+  options.service.xmax = 5;
+  options.service.extra_random_tasks = 2;
+  options.service.refresh_after_completions = 2;
+  options.service.max_tasks_per_iteration = 80;
+  options.service.seed = 99;
+  return options;
+}
+
+/// A short deployment; driver threads stay at their default.
+ShardedDeploymentOptions BaseDeploymentOptions() {
+  ShardedDeploymentOptions deployment;
+  deployment.arrival_rate_per_min = 1.5;
+  deployment.session.max_minutes = 5.0;
+  deployment.seed = 1234;
+  return deployment;
+}
+
+DeploymentRun RunDeployment(const Catalog& catalog,
+                            const std::vector<Worker>& profiles,
+                            ShardedServiceOptions options,
+                            const ShardedDeploymentOptions& deployment) {
   // Workers are stateful (boredom, history, RNG): rebuild the same
   // population from the same seeds for every run.
   std::vector<BehavioralWorker> behavioral;
@@ -256,24 +251,8 @@ DeploymentRun RunOnce(const Catalog& catalog,
   }
 
   DeploymentRun run;
-  ShardedServiceOptions options;
-  options.num_shards = 4;
-  options.service.strategy = StrategyKind::kHtaGre;
-  options.service.xmax = 5;
-  options.service.extra_random_tasks = 2;
-  options.service.refresh_after_completions = 2;
-  options.service.max_tasks_per_iteration = 80;
-  options.service.solver_threads = solver_threads;
-  options.service.seed = 99;
   options.service.event_log = &run.log;
   ShardedAssignmentService service(&catalog.tasks, options);
-  EXPECT_EQ(service.num_shards(), size_t{4});
-
-  ShardedDeploymentOptions deployment;
-  deployment.arrival_rate_per_min = 1.5;
-  deployment.session.max_minutes = 5.0;
-  deployment.seed = 1234;
-  deployment.driver_threads = driver_threads;
   run.result = RunShardedDeployment(&service, catalog, &behavioral,
                                     deployment);
   for (size_t s = 0; s < service.num_shards(); ++s) {
@@ -282,6 +261,21 @@ DeploymentRun RunOnce(const Catalog& catalog,
   for (const SessionResult& session : run.result.sessions) {
     run.completions += session.events.size();
   }
+  return run;
+}
+
+DeploymentRun RunOnce(const Catalog& catalog,
+                      const std::vector<Worker>& profiles,
+                      size_t driver_threads, size_t solver_threads,
+                      bool warm_start) {
+  ShardedServiceOptions options = BaseServiceOptions();
+  options.num_shards = 4;
+  options.service.solver_threads = solver_threads;
+  options.service.warm_start = warm_start;
+  ShardedDeploymentOptions deployment = BaseDeploymentOptions();
+  deployment.driver_threads = driver_threads;
+  DeploymentRun run = RunDeployment(catalog, profiles, options, deployment);
+  EXPECT_EQ(run.shard_iterations.size(), size_t{4});
   return run;
 }
 
@@ -383,11 +377,44 @@ TEST_F(ShardedDeploymentDeterminismTest, WarmStartOnIsEquallyDeterministic) {
   }
 }
 
+// The variables that once overrode the shard count, warm start and
+// driver threads are inert: default options mean one shard, cold
+// solves and one driver thread whatever the environment says.
+TEST_F(ShardedDeploymentDeterminismTest, EnvironmentNeverOverridesOptions) {
+  const Catalog catalog = MakeDeploymentCatalog();
+  const std::vector<Worker> profiles = MakeProfiles(catalog);
+  setenv("HTA_WARM_START", "1", /*overwrite=*/1);
+  setenv("HTA_SHARDS", "4", /*overwrite=*/1);
+  setenv("HTA_DRIVER_THREADS", "4", /*overwrite=*/1);
+
+  const AssignmentService plain(&catalog.tasks, AssignmentServiceOptions{});
+  EXPECT_FALSE(plain.options().warm_start);
+  const ShardedAssignmentService sharded(&catalog.tasks,
+                                         ShardedServiceOptions{});
+  EXPECT_EQ(sharded.num_shards(), size_t{1});
+  EXPECT_FALSE(sharded.shard(0).options().warm_start);
+
+  const DeploymentRun with_env = RunDeployment(
+      catalog, profiles, BaseServiceOptions(), BaseDeploymentOptions());
+  for (const char* name : {"HTA_WARM_START", "HTA_SHARDS",
+                           "HTA_DRIVER_THREADS"}) {
+    unsetenv(name);
+  }
+  const DeploymentRun without_env = RunDeployment(
+      catalog, profiles, BaseServiceOptions(), BaseDeploymentOptions());
+
+  ASSERT_EQ(with_env.shard_iterations.size(), size_t{1});
+  for (const IterationRecord& record : with_env.shard_iterations[0]) {
+    EXPECT_FALSE(record.warm_seeded);
+  }
+  EXPECT_GT(without_env.completions, size_t{0});
+  ExpectSameRun(without_env, with_env);
+}
+
 // ---------------------------------------------------------------------------
 // Front-end unit properties.
 
 TEST(ShardedServiceTest, TaskIndexMappingRoundTrips) {
-  ScopedEnv pin_shards("HTA_SHARDS", "4");
   const auto catalog = RandomCatalog(103, 40, 5);  // Not divisible by 4.
   ShardedServiceOptions options;
   options.num_shards = 4;
@@ -406,7 +433,6 @@ TEST(ShardedServiceTest, TaskIndexMappingRoundTrips) {
 }
 
 TEST(ShardedServiceTest, InterestHashIsDeterministicAndInRange) {
-  ScopedEnv pin_shards("HTA_SHARDS", "4");
   const auto catalog = RandomCatalog(64, 40, 6);
   ShardedServiceOptions options;
   options.num_shards = 4;
@@ -421,7 +447,6 @@ TEST(ShardedServiceTest, InterestHashIsDeterministicAndInRange) {
 }
 
 TEST(ShardedServiceTest, CrossShardCompletionIsRejected) {
-  ScopedEnv pin_shards("HTA_SHARDS", "4");
   const auto catalog = RandomCatalog(120, 40, 8);
   ShardedServiceOptions options;
   options.num_shards = 4;
@@ -445,28 +470,23 @@ TEST(ShardedServiceTest, CrossShardCompletionIsRejected) {
   EXPECT_TRUE(service.NotifyCompleted(id, displayed.front()).ok());
 }
 
-TEST(ShardedServiceTest, EnvOverrideControlsShardCount) {
+TEST(ShardedServiceTest, OptionShardCountIsClampedToCatalog) {
   const auto catalog = RandomCatalog(60, 40, 10);
-  {
-    ScopedEnv pin_shards("HTA_SHARDS", "3");
+  // Shard counts beyond the catalog clamp (no empty shards); zero
+  // means one shard.
+  for (const auto& [requested, expected] :
+       {std::pair<size_t, size_t>{3, 3}, {100, 60}, {0, 1}}) {
     ShardedServiceOptions options;
-    options.num_shards = 1;  // Env wins.
+    options.num_shards = requested;
     ShardedAssignmentService service(&catalog, options);
-    EXPECT_EQ(service.num_shards(), size_t{3});
-  }
-  {
-    // Shard counts beyond the catalog clamp (no empty shards).
-    ScopedEnv pin_shards("HTA_SHARDS", "100");
-    ShardedServiceOptions options;
-    ShardedAssignmentService service(&catalog, options);
-    EXPECT_EQ(service.num_shards(), size_t{60});
+    EXPECT_EQ(service.num_shards(), expected) << "requested " << requested;
+    EXPECT_EQ(service.options().num_shards, expected);
   }
 }
 
 // A shard's service rejects interests from another keyword universe
 // at registration, whichever shard the hash routes them to.
 TEST(ShardedServiceDeathTest, WrongUniverseInterestsAbortAtRegistration) {
-  ScopedEnv pin_shards("HTA_SHARDS", "2");
   const auto catalog = RandomCatalog(60, 40, 11);
   ShardedServiceOptions options;
   options.num_shards = 2;

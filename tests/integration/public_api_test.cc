@@ -92,9 +92,6 @@ TEST(PublicApiTest, AllSolverEntryPointsAgreeOnFeasibility) {
     ASSERT_TRUE(result.ok()) << StrategyName(kind);
     EXPECT_TRUE(ValidateAssignment(*problem, result->assignment).ok());
   }
-  auto greedy_rel = SolveGreedyRelevance(*problem);
-  ASSERT_TRUE(greedy_rel.ok());
-  EXPECT_TRUE(ValidateAssignment(*problem, greedy_rel->assignment).ok());
 }
 
 TEST(PublicApiTest, TeamsComposeWithGeneratedMarketplace) {
