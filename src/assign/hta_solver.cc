@@ -191,16 +191,9 @@ Result<HtaSolveResult> SolveHta(const HtaProblem& problem,
   GraphMatching mb;
   {
     trace::PhaseSpan matching_span("solver.matching", &matching_latency);
-    std::vector<WeightedEdge> edges =
-        BuildDiversityEdges(problem.oracle(), options.threads);
-    switch (options.matching) {
-      case MatchingMethod::kGreedy:
-        mb = GreedyMaxWeightMatching(n, std::move(edges), options.threads);
-        break;
-      case MatchingMethod::kPathGrowing:
-        mb = PathGrowingMatching(n, edges);
-        break;
-    }
+    mb = GreedyMaxWeightMatching(
+        n, BuildDiversityEdges(problem.oracle(), options.threads),
+        options.threads);
   }
   stats.matching_seconds = phase_timer.ElapsedSeconds();
   stats.matched_pairs = mb.edges.size();
@@ -355,7 +348,6 @@ std::string SolverName(const HtaSolverOptions& options) {
       name = "hta-gre";
       break;
   }
-  if (options.matching == MatchingMethod::kPathGrowing) name += "+pg";
   switch (options.swap) {
     case SwapMode::kRandom:
       break;

@@ -25,13 +25,6 @@ enum class LsapMethod {
   kGreedy,  ///< Greedy bipartite matching: HTA-GRE (1/8-approx).
 };
 
-/// Which matching algorithm builds M_B (Line 2). Both are
-/// 1/2-approximations, which Eq. 9/10 require.
-enum class MatchingMethod {
-  kGreedy,       ///< Sorted-edge greedy (the paper's choice).
-  kPathGrowing,  ///< Drake-Hougardy path growing (ablation A3).
-};
-
 /// How matched pairs are permuted after the LSAP solve (Lines 12-16).
 enum class SwapMode {
   kRandom,     ///< Flip each matched pair with probability 1/2 (paper).
@@ -45,7 +38,6 @@ enum class SwapMode {
 /// recommended algorithm.
 struct HtaSolverOptions {
   LsapMethod lsap = LsapMethod::kGreedy;
-  MatchingMethod matching = MatchingMethod::kGreedy;
   SwapMode swap = SwapMode::kRandom;
   uint64_t seed = 42;
   /// Caps the threads this solve draws from the global pool (see

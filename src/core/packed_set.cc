@@ -6,25 +6,11 @@ namespace hta {
 
 namespace packed_internal {
 
-// Function multi-versioning for the popcount sweep. GCC on x86-64
-// Linux resolves the best clone at load time via ifunc: the baseline
-// x86-64 ABI must assume libgcc popcount calls, hardware POPCNT drops
-// that to one instruction per block, and AVX-512 VPOPCNTQ lets the
-// whole inner loop vectorize 8 blocks per instruction. All clones
-// produce the same exact integers, so kernel results are independent of
-// which clone the dynamic linker picks. Sanitizer builds skip the
-// attribute (ifunc resolvers run before the runtime is initialized).
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) && \
-    !defined(__SANITIZE_ADDRESS__) && !defined(__SANITIZE_THREAD__)
-#define HTA_POPCOUNT_CLONES \
-  __attribute__((target_clones("arch=icelake-server", "popcnt", "default")))
-#else
-#define HTA_POPCOUNT_CLONES
-#endif
+namespace {
 
-HTA_POPCOUNT_CLONES
-void IntersectRowCounts(const uint64_t* a, const uint64_t* rows, size_t nb,
-                        size_t count, uint32_t* out) {
+[[gnu::always_inline]] inline void CountsBody(const uint64_t* a,
+                                              const uint64_t* rows, size_t nb,
+                                              size_t count, uint32_t* out) {
   for (size_t r = 0; r < count; ++r) {
     const uint64_t* b = rows + r * nb;
     // Single-accumulator reduction: the shape the vectorizer turns into
@@ -37,7 +23,53 @@ void IntersectRowCounts(const uint64_t* a, const uint64_t* rows, size_t nb,
   }
 }
 
-#undef HTA_POPCOUNT_CLONES
+using CountsFn = void (*)(const uint64_t*, const uint64_t*, size_t, size_t,
+                          uint32_t*);
+
+void CountsBaseline(const uint64_t* a, const uint64_t* rows, size_t nb,
+                    size_t count, uint32_t* out) {
+  CountsBody(a, rows, nb, count, out);
+}
+
+// One build of the sweep per instruction set, picked on the first call
+// by what the CPU reports it supports: the baseline x86-64 ABI must
+// assume libgcc popcount calls, hardware POPCNT drops that to one
+// instruction per block, and AVX-512 VPOPCNTQ lets the inner loop
+// vectorize 8 blocks per instruction. Dispatching on features rather
+// than on a CPU model matters: GCC resolves target_clones("arch=...")
+// by model, and guests that report a generic model (with VPOPCNTDQ)
+// never ran the AVX-512 build that way. Every build produces the same
+// exact integers, so kernel results do not depend on the choice.
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
+[[gnu::target("popcnt")]] void CountsPopcnt(const uint64_t* a,
+                                            const uint64_t* rows, size_t nb,
+                                            size_t count, uint32_t* out) {
+  CountsBody(a, rows, nb, count, out);
+}
+
+[[gnu::target("popcnt,avx512f,avx512vpopcntdq")]] void CountsVpopcnt(
+    const uint64_t* a, const uint64_t* rows, size_t nb, size_t count,
+    uint32_t* out) {
+  CountsBody(a, rows, nb, count, out);
+}
+
+CountsFn ResolveCounts() {
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("avx512vpopcntdq")) return CountsVpopcnt;
+  if (__builtin_cpu_supports("popcnt")) return CountsPopcnt;
+  return CountsBaseline;
+}
+#else
+CountsFn ResolveCounts() { return CountsBaseline; }
+#endif
+
+}  // namespace
+
+void IntersectRowCounts(const uint64_t* a, const uint64_t* rows, size_t nb,
+                        size_t count, uint32_t* out) {
+  static const CountsFn counts = ResolveCounts();
+  counts(a, rows, nb, count, out);
+}
 
 }  // namespace packed_internal
 

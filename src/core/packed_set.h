@@ -102,10 +102,11 @@ inline size_t IntersectionPopcount(const uint64_t* a, const uint64_t* b,
 /// Intersection popcounts of row `a` against `count` contiguous packed
 /// rows starting at `rows` (stride nb blocks): out[r] = |a AND rows_r|.
 /// This is the one ISA-sensitive primitive of the batched kernels — the
-/// implementation is function-multi-versioned (baseline / hardware
-/// POPCNT / AVX-512 VPOPCNTQ where the toolchain supports it), and the
+/// implementation is built once per instruction set (baseline /
+/// hardware POPCNT / AVX-512 VPOPCNTQ where the toolchain supports it)
+/// and picked on the first call from the CPU's reported features; the
 /// result is an exact integer on every path, so kernel outputs never
-/// depend on the clone the dynamic linker resolves.
+/// depend on the build that runs.
 void IntersectRowCounts(const uint64_t* a, const uint64_t* rows, size_t nb,
                         size_t count, uint32_t* out);
 
@@ -182,7 +183,7 @@ void RectangularRelevance(const PackedSetMatrix& a, const PackedSetMatrix& b,
 /// Fused "distance + weight > 0 filter" sweep of one row against all
 /// higher-indexed rows: calls emit(j, w) with w = float(d(row i, row
 /// j)) for every j > i whose w is positive, in ascending j order. Tiles
-/// of kCountTile j-rows go through the multi-versioned popcount
+/// of kCountTile j-rows go through the per-ISA popcount
 /// primitive into a stack buffer; distances derive from the counts and
 /// are filtered without ever touching memory. Serial by design —
 /// BuildDiversityEdges parallelizes over rows and calls this per row

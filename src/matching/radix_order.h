@@ -22,8 +22,11 @@ inline uint32_t HeavierFirstKey(float weight) {
 }
 
 /// Orders `items` heaviest first by their float `weight` member, and
-/// stably: items of equal weight keep their input order. This is the
-/// ordering step shared by GreedyMaxWeightMatching and SolveLsapGreedy.
+/// stably: items of equal weight keep their input order. Its users are
+/// SolveLsapGreedy's (task, worker) pairs, BuildDiversityEdges' float
+/// path (dense-matrix oracles, or more weight classes than it tables),
+/// and GreedyMaxWeightMatching's fallback for an edge list that is not
+/// already in its order.
 ///
 /// An LSD radix sort on HeavierFirstKey: all four 8-bit digit histograms
 /// come from one read pass, a digit with a single bucket is skipped,

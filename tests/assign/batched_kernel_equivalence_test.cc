@@ -6,6 +6,7 @@
 // TaskRelevance (or QapView entry) bit-for-bit, at every thread cap.
 // This is what makes the kernels a pure performance change, invisible
 // to results.
+#include <algorithm>
 #include <cstdlib>
 #include <string>
 #include <vector>
@@ -64,7 +65,9 @@ Instance MakeInstance(size_t num_tasks, size_t num_workers, uint64_t seed) {
   return inst;
 }
 
-// Reference: the positive-weight pairs under `dist`, row-major.
+// Reference: the positive-weight pairs under `dist`, scanned row-major
+// and stable-sorted into the greedy's order (weight desc, u asc, v asc),
+// the order BuildDiversityEdges returns.
 template <typename Dist>
 std::vector<WeightedEdge> ScalarEdges(size_t n, Dist dist) {
   std::vector<WeightedEdge> edges;
@@ -77,6 +80,12 @@ std::vector<WeightedEdge> ScalarEdges(size_t n, Dist dist) {
       }
     }
   }
+  std::stable_sort(edges.begin(), edges.end(),
+                   [](const WeightedEdge& a, const WeightedEdge& b) {
+                     if (a.weight != b.weight) return a.weight > b.weight;
+                     if (a.u != b.u) return a.u < b.u;
+                     return a.v < b.v;
+                   });
   return edges;
 }
 
@@ -116,6 +125,35 @@ TEST(BatchedKernelEquivalenceTest, DiversityEdgesBitIdentical) {
                      std::to_string(cap));
         ExpectSameEdges(BuildDiversityEdges(oracle, cap), want);
       }
+    }
+  }
+}
+
+TEST(BatchedKernelEquivalenceTest, DiversityEdgesWithManyRowCounts) {
+  // 1-60 keywords over a 128-word universe give about 50 distinct row
+  // popcounts, so the weight-class table would be far larger than
+  // BuildDiversityEdges builds; its float path must give the same list.
+  Rng rng(131);
+  std::vector<Task> tasks;
+  for (size_t i = 0; i < 120; ++i) {
+    KeywordVector v(128);
+    const size_t bits = 1 + rng.NextBounded(60);
+    for (size_t b = 0; b < bits; ++b) {
+      v.Set(static_cast<KeywordId>(rng.NextBounded(128)));
+    }
+    tasks.emplace_back(i, std::move(v));
+  }
+  for (const DistanceKind kind :
+       {DistanceKind::kHamming, DistanceKind::kCosineAngular}) {
+    const TaskDistanceOracle oracle(&tasks, kind);
+    const std::vector<WeightedEdge> want =
+        ScalarEdges(tasks.size(), [&](size_t i, size_t j) {
+          return PairwiseTaskDiversity(kind, tasks[i], tasks[j]);
+        });
+    for (const size_t cap : kThreadCaps) {
+      SCOPED_TRACE(std::string(DistanceKindName(kind)) + " cap " +
+                   std::to_string(cap));
+      ExpectSameEdges(BuildDiversityEdges(oracle, cap), want);
     }
   }
 }

@@ -134,17 +134,6 @@ TEST(HtaSolverTest, BestOfTwoSwapNeverWorseThanNoSwap) {
   EXPECT_GE(r_best->stats.qap_objective + 1e-9, r_none->stats.qap_objective);
 }
 
-TEST(HtaSolverTest, PathGrowingMatchingVariantIsFeasible) {
-  const Fixture f = RandomFixture(30, 3, 9);
-  auto problem = HtaProblem::Create(&f.tasks, &f.workers, 4);
-  ASSERT_TRUE(problem.ok());
-  HtaSolverOptions options;
-  options.matching = MatchingMethod::kPathGrowing;
-  auto result = SolveHta(*problem, options);
-  ASSERT_TRUE(result.ok());
-  EXPECT_TRUE(ValidateAssignment(*problem, result->assignment).ok());
-}
-
 TEST(HtaSolverTest, AppAtLeastAsGoodAsGreOnAverage) {
   // Exact LSAP should not lose to greedy LSAP in aggregate.
   double app_total = 0.0;
@@ -181,8 +170,7 @@ TEST(HtaSolverTest, SolverNamesAreDescriptive) {
   o.swap = SwapMode::kBestOfTwo;
   EXPECT_EQ(SolverName(o), "hta-gre+best2");
   o.swap = SwapMode::kNone;
-  o.matching = MatchingMethod::kPathGrowing;
-  EXPECT_EQ(SolverName(o), "hta-gre+pg+noswap");
+  EXPECT_EQ(SolverName(o), "hta-gre+noswap");
 }
 
 TEST(HtaSolverTest, ExtractAssignmentFollowsEquationSeven) {

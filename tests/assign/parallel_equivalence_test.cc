@@ -4,6 +4,7 @@
 // must produce bit-identical results whether it runs serially
 // (max_threads / options.threads = 1) or across the pool. This is the
 // determinism guarantee that makes HTA_THREADS a pure performance knob.
+#include <algorithm>
 #include <cstdlib>
 #include <vector>
 
@@ -61,7 +62,8 @@ TEST(ParallelEquivalenceTest, DiversityEdgesMatchSerialScan) {
     const std::vector<WeightedEdge> serial =
         BuildDiversityEdges(oracle, /*max_threads=*/1);
 
-    // Reference: the plain row-major serial scan.
+    // Reference: the plain row-major serial scan, stable-sorted into
+    // the greedy's order (weight desc, u asc, v asc).
     std::vector<WeightedEdge> reference;
     for (size_t i = 0; i < inst.tasks.size(); ++i) {
       for (size_t j = i + 1; j < inst.tasks.size(); ++j) {
@@ -73,6 +75,13 @@ TEST(ParallelEquivalenceTest, DiversityEdgesMatchSerialScan) {
         }
       }
     }
+
+    std::stable_sort(reference.begin(), reference.end(),
+                     [](const WeightedEdge& a, const WeightedEdge& b) {
+                       if (a.weight != b.weight) return a.weight > b.weight;
+                       if (a.u != b.u) return a.u < b.u;
+                       return a.v < b.v;
+                     });
 
     ASSERT_EQ(parallel.size(), reference.size());
     ASSERT_EQ(serial.size(), reference.size());

@@ -106,8 +106,13 @@ TEST(TaskRelevanceTest, PaperTableOneValues) {
 
 // --- Property sweeps: metric axioms on random vectors -----------------
 
+// gtest prints a case as its bytes, and ctest names embed that dump, so
+// the padding after `kind` is a zeroed member: implicit padding bytes
+// are indeterminate and would make the names differ between builds.
 struct MetricCase {
+  MetricCase(DistanceKind kind, uint64_t seed) : kind(kind), seed(seed) {}
   DistanceKind kind;
+  uint32_t zero_padding = 0;
   uint64_t seed;
 };
 

@@ -23,8 +23,15 @@
 namespace hta {
 namespace {
 
+// gtest prints a case as its bytes, and ctest names embed that dump, so
+// the padding after `strategy` is a zeroed member: implicit padding
+// bytes are indeterminate and would make the names differ between
+// builds.
 struct FuzzCase {
+  FuzzCase(StrategyKind strategy, uint64_t seed, size_t ops)
+      : strategy(strategy), seed(seed), ops(ops) {}
   StrategyKind strategy;
+  uint32_t zero_padding = 0;
   uint64_t seed;
   size_t ops;
 };

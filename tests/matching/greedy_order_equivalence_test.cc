@@ -217,6 +217,22 @@ TEST(GreedyOrderEquivalenceTest, EdgeCountsAroundPowersOfTwo) {
   }
 }
 
+TEST(GreedyOrderEquivalenceTest, OrderedButForAHeavierLastEdge) {
+  // A list in the greedy's order except for its last edge, which is
+  // heavier than the first. The matching is full long before that edge,
+  // so only an order check that runs to the end of the list sees it.
+  const std::vector<Task> tasks = RandomTasks(100, 9);
+  const TaskDistanceOracle oracle(&tasks, DistanceKind::kJaccard);
+  std::vector<WeightedEdge> edges = BuildDiversityEdges(oracle);
+  ASSERT_GT(edges.size(), 2u);
+  edges.push_back(WeightedEdge{edges.back().u, edges.back().v,
+                               edges.front().weight * 2.0f});
+  ExpectMatchesReference(tasks.size(), edges, "heavier last edge");
+  // The same, with the extra edge one step ahead of the order.
+  edges.back().weight = std::nextafter(edges.front().weight, 2.0f);
+  ExpectMatchesReference(tasks.size(), edges, "just heavier last edge");
+}
+
 TEST(GreedyOrderEquivalenceTest, EmptyAndSingleEdge) {
   ExpectMatchesReference(0, {}, "empty, no vertices");
   ExpectMatchesReference(3, {}, "empty");

@@ -43,23 +43,6 @@ TEST(MatchingEdgeTest, IsMatchedOutOfRangeIsFalse) {
   EXPECT_FALSE(m.IsMatched(5));
 }
 
-TEST(MatchingEdgeTest, PathGrowingDeterministic) {
-  Rng rng(3);
-  std::vector<WeightedEdge> edges;
-  for (VertexId u = 0; u < 20; ++u) {
-    for (VertexId v = u + 1; v < 20; ++v) {
-      if (rng.NextBool(0.4)) {
-        edges.push_back(
-            WeightedEdge{u, v, static_cast<float>(rng.NextDouble())});
-      }
-    }
-  }
-  const GraphMatching a = PathGrowingMatching(20, edges);
-  const GraphMatching b = PathGrowingMatching(20, edges);
-  EXPECT_EQ(a.edges, b.edges);
-  EXPECT_DOUBLE_EQ(a.total_weight, b.total_weight);
-}
-
 TEST(MatchingEdgeTest, GreedyIgnoresEdgeOrderButKeepsWeightOrder) {
   // Heaviest-first semantics survive arbitrary input permutations.
   std::vector<WeightedEdge> edges = {
@@ -89,17 +72,6 @@ TEST(MatchingEdgeTest, ExactBruteForceOnEmptyAndTiny) {
   const GraphMatching one = ExactMaxWeightMatchingBruteForce(
       2, {WeightedEdge{0, 1, 0.4f}});
   EXPECT_FLOAT_EQ(static_cast<float>(one.total_weight), 0.4f);
-}
-
-TEST(MatchingEdgeTest, PathGrowingHandlesIsolatedVertices) {
-  // Vertices 4..9 have no incident edges.
-  const std::vector<WeightedEdge> edges = {WeightedEdge{0, 1, 0.5f},
-                                           WeightedEdge{2, 3, 0.7f}};
-  const GraphMatching m = PathGrowingMatching(10, edges);
-  EXPECT_EQ(m.edges.size(), 2u);
-  for (VertexId v = 4; v < 10; ++v) {
-    EXPECT_FALSE(m.IsMatched(v));
-  }
 }
 
 }  // namespace

@@ -120,28 +120,6 @@ TEST(GreedyMatchingTest, HalfApproximationOnSmallRandomGraphs) {
   }
 }
 
-TEST(PathGrowingTest, ValidOnRandomGraphs) {
-  Rng rng(9);
-  for (int trial = 0; trial < 30; ++trial) {
-    const size_t n = 2 + rng.NextBounded(30);
-    const auto edges = RandomEdges(n, 0.5, &rng);
-    const GraphMatching m = PathGrowingMatching(n, edges);
-    ExpectValidMatching(m, n);
-  }
-}
-
-TEST(PathGrowingTest, HalfApproximationOnSmallRandomGraphs) {
-  Rng rng(11);
-  for (int trial = 0; trial < 40; ++trial) {
-    const size_t n = 2 + rng.NextBounded(9);
-    const auto edges = RandomEdges(n, 0.7, &rng);
-    const GraphMatching pg = PathGrowingMatching(n, edges);
-    const GraphMatching exact = ExactMaxWeightMatchingBruteForce(n, edges);
-    EXPECT_GE(pg.total_weight + 1e-9, 0.5 * exact.total_weight);
-    EXPECT_LE(pg.total_weight, exact.total_weight + 1e-9);
-  }
-}
-
 TEST(TaskGraphMatchingTest, CompleteGraphCoversAllButOneOnOddN) {
   std::vector<Task> tasks;
   Rng rng(3);
