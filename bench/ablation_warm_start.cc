@@ -23,9 +23,8 @@
 #include <iostream>
 #include <vector>
 
+#include "assign/assignment.h"
 #include "bench/bench_common.h"
-#include "core/distance_oracle.h"
-#include "core/motivation.h"
 #include "engine/assignment_service.h"
 #include "util/table.h"
 #include "util/timer.h"
@@ -56,7 +55,7 @@ struct DriveStats {
 
 DriveStats Drive(const hta::Catalog& catalog,
                  const std::vector<hta::Worker>& profiles,
-                 const hta::TaskDistanceOracle& oracle, bool warm_start,
+                 const hta::HtaProblem& scoring, bool warm_start,
                  size_t refresh, const DriveConfig& config) {
   using namespace hta;
   AssignmentServiceOptions options;
@@ -95,7 +94,8 @@ DriveStats Drive(const hta::Catalog& catalog,
       for (const size_t t : service.Displayed(id)) {
         bundle.push_back(static_cast<TaskIndex>(t));
       }
-      stats.qualities.push_back(Motivation(bundle, profiles[w], oracle));
+      stats.qualities.push_back(BundleMotivation(
+          scoring, static_cast<WorkerIndex>(w), bundle));
     }
   }
 
@@ -153,9 +153,12 @@ int main() {
   const bench::OfflineWorkload workload = bench::MakeOfflineWorkload(
       std::max<size_t>(config.catalog_size / 100, 1), 100, config.workers,
       /*seed=*/7 + config.catalog_size);
-  // On-the-fly oracle is plenty for scoring Xmax-sized bundles.
-  const TaskDistanceOracle oracle(&workload.catalog.tasks,
-                                  DistanceKind::kJaccard);
+  // Bundles are scored by Eq. 3 over a lazy problem on the whole
+  // catalog under the ground-truth weights: Create does no relevance
+  // sweep, and Xmax-sized bundles need only a few distances each.
+  auto scoring = HtaProblem::Create(&workload.catalog.tasks,
+                                    &workload.workers, config.xmax);
+  HTA_CHECK(scoring.ok()) << scoring.status();
 
   // Churn = refresh_after_completions / xmax: the bundle fraction a
   // worker completes before their refresh fires.
@@ -168,10 +171,12 @@ int main() {
   for (const size_t refresh : refresh_steps) {
     const double churn = static_cast<double>(refresh) /
                          static_cast<double>(config.xmax);
-    const DriveStats cold = Drive(workload.catalog, workload.workers, oracle,
-                                  /*warm_start=*/false, refresh, config);
-    const DriveStats warm = Drive(workload.catalog, workload.workers, oracle,
-                                  /*warm_start=*/true, refresh, config);
+    const DriveStats cold = Drive(workload.catalog, workload.workers,
+                                  *scoring, /*warm_start=*/false, refresh,
+                                  config);
+    const DriveStats warm = Drive(workload.catalog, workload.workers,
+                                  *scoring, /*warm_start=*/true, refresh,
+                                  config);
     HTA_CHECK_EQ(warm.solver_iterations, cold.solver_iterations)
         << "warm start must not change the deployment's solve schedule";
     HTA_CHECK_EQ(warm.qualities.size(), cold.qualities.size());

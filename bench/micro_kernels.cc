@@ -6,8 +6,8 @@
 
 #include <memory>
 
+#include "assign/assignment.h"
 #include "assign/local_search.h"
-#include "core/motivation.h"
 #include "matching/lsap.h"
 #include "matching/max_weight_matching.h"
 #include "sim/catalog.h"
@@ -226,15 +226,16 @@ BENCHMARK(BM_ExchangeDeltaNaive)->Arg(5)->Arg(20);
 
 void BM_MotivationEval(benchmark::State& state) {
   const Catalog catalog = MakeCatalog(256);
-  const TaskDistanceOracle oracle(&catalog.tasks, DistanceKind::kJaccard);
-  const Worker worker(0, catalog.tasks[0].keywords(),
-                      MotivationWeights{0.4, 0.6});
+  const std::vector<Worker> workers = {Worker(
+      0, catalog.tasks[0].keywords(), MotivationWeights{0.4, 0.6})};
+  auto problem = HtaProblem::Create(&catalog.tasks, &workers, /*xmax=*/15);
+  HTA_CHECK(problem.ok());
   TaskBundle bundle;
   for (TaskIndex t = 0; t < 15; ++t) {
     bundle.push_back(static_cast<TaskIndex>((t * 7) % catalog.size()));
   }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(Motivation(bundle, worker, oracle));
+    benchmark::DoNotOptimize(BundleMotivation(*problem, 0, bundle));
   }
 }
 BENCHMARK(BM_MotivationEval);

@@ -37,6 +37,20 @@ Status ValidateAssignment(const HtaProblem& problem,
   return Status::OK();
 }
 
+double BundleMotivation(const HtaProblem& problem, WorkerIndex worker,
+                        const TaskBundle& bundle) {
+  if (bundle.empty()) return 0.0;
+  const double td = SetDiversity(bundle, problem.oracle());
+  double tr = 0.0;
+  for (TaskIndex t : bundle) {
+    HTA_DCHECK_LT(static_cast<size_t>(t), problem.task_count());
+    tr += problem.Relevance(t, worker);
+  }
+  const MotivationWeights& weights = problem.workers()[worker].weights();
+  const double size_minus_one = static_cast<double>(bundle.size()) - 1.0;
+  return 2.0 * weights.alpha * td + weights.beta * size_minus_one * tr;
+}
+
 double TotalMotivation(const HtaProblem& problem,
                        const Assignment& assignment) {
   double total = 0.0;
@@ -49,8 +63,8 @@ std::vector<double> PerWorkerMotivation(const HtaProblem& problem,
   HTA_CHECK_EQ(assignment.bundles.size(), problem.worker_count());
   std::vector<double> out(problem.worker_count(), 0.0);
   for (size_t q = 0; q < problem.worker_count(); ++q) {
-    out[q] = Motivation(assignment.bundles[q], problem.workers()[q],
-                        problem.oracle());
+    out[q] = BundleMotivation(problem, static_cast<WorkerIndex>(q),
+                              assignment.bundles[q]);
   }
   return out;
 }

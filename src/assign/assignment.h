@@ -31,6 +31,22 @@ struct Assignment {
 Status ValidateAssignment(const HtaProblem& problem,
                           const Assignment& assignment);
 
+/// Expected motivation of worker `worker` for `bundle` (Eq. 3):
+///
+///   motiv(T', w) = 2 * alpha_w * TD(T') + beta_w * (|T'| - 1) * TR(T', w)
+///
+/// with TD from the problem's oracle (SetDiversity, Eq. 1) and TR the
+/// sum of problem.Relevance(t, worker) over the bundle (Eq. 2) — the
+/// instance's own relevance, whether swept, lazily derived from
+/// keywords, or given as a matrix (Table I). The 2 and (|T'| - 1)
+/// factors normalize the quadratic diversity term against the linear
+/// relevance term, following Gollapudi & Sharma. An empty bundle has
+/// motivation 0; so does a singleton (|T'| - 1 == 0 and no pairs),
+/// matching the paper's formulation. This is the library's one Eq. 3
+/// evaluator.
+double BundleMotivation(const HtaProblem& problem, WorkerIndex worker,
+                        const TaskBundle& bundle);
+
 /// The HTA objective (Problem 1): sum over workers of motiv(T^i_w, w)
 /// per Eq. 3, using each worker's own (alpha, beta).
 double TotalMotivation(const HtaProblem& problem,

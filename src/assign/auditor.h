@@ -50,11 +50,11 @@ class AssignmentAuditor {
   Status CheckStructure(const Assignment& assignment) const;
 
   /// Recomputes the Eq. 3 objective from scratch — per-bundle
-  /// Motivation(), the same naive reference path NaiveReplaceDelta /
-  /// NaiveInsertDelta are derived from — and checks that
-  /// `claimed_objective` (an incrementally maintained value such as
-  /// initial + Σ applied deltas, or a BundleStatsCache-derived total)
-  /// agrees within kObjectiveTolerance. Divergence, including NaN,
+  /// BundleMotivation(), the same evaluator NaiveInsertDelta calls and
+  /// the same problem.Relevance() NaiveReplaceDelta reads — and checks
+  /// that `claimed_objective` (an incrementally maintained value such
+  /// as initial + Σ applied deltas, or a BundleStatsCache-derived
+  /// total) agrees within kObjectiveTolerance. Divergence, including NaN,
   /// returns Internal.
   Status CheckObjective(const Assignment& assignment,
                         double claimed_objective) const;

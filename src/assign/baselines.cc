@@ -30,7 +30,7 @@ Result<HtaSolveResult> SolveWithFixedWeights(const HtaProblem& problem,
     overridden.emplace_back(w.id(), w.interests(), weights);
   }
   // WithWorkers keeps the task side intact — the same oracle (shared
-  // subset view, dense matrix, or on-the-fly) answers for the override
+  // packed rows, dense matrix, or on-the-fly) answers for the override
   // solve, so no per-strategy problem rebuild happens.
   const HtaProblem fixed = problem.WithWorkers(&overridden);
   HtaSolverOptions options;

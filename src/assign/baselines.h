@@ -25,7 +25,7 @@ std::string StrategyName(StrategyKind kind);
 /// Runs HTA-GRE after overriding every worker's weights to `weights`
 /// (the HTA-GRE-DIV / HTA-GRE-REL strategies). The input problem is not
 /// modified; workers are copied with replaced weights and the task side
-/// (oracle included — also shared subset views and dense-matrix
+/// (oracle included — also shared packed rows and dense-matrix
 /// overrides) is reused as-is via HtaProblem::WithWorkers. `threads`
 /// caps the solve's pool draw (0 = full pool).
 Result<HtaSolveResult> SolveWithFixedWeights(

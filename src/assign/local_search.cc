@@ -269,11 +269,10 @@ double NaiveReplaceDelta(const HtaProblem& problem, const TaskBundle& bundle,
 
 double NaiveInsertDelta(const HtaProblem& problem, const TaskBundle& bundle,
                         TaskIndex in, WorkerIndex worker) {
-  const Worker& w = problem.workers()[worker];
-  const double before = Motivation(bundle, w, problem.oracle());
+  const double before = BundleMotivation(problem, worker, bundle);
   TaskBundle grown = bundle;
   grown.push_back(in);
-  const double after = Motivation(grown, w, problem.oracle());
+  const double after = BundleMotivation(problem, worker, grown);
   return after - before;
 }
 

@@ -73,7 +73,7 @@ Result<LocalSearchResult> ImproveAssignment(const HtaProblem& problem,
 ///    task t, so a replace/insert diversity delta is two table reads
 ///    plus at most one oracle call;
 ///  * the bundle's internal diversity and relevance sums, so an insert
-///    delta needs no Motivation() evaluation at all;
+///    delta needs no BundleMotivation() evaluation at all;
 ///  * a dense rel[t][q] relevance cache, so no probe ever recomputes a
 ///    task–worker distance.
 ///
@@ -148,7 +148,8 @@ class BundleStatsCache {
 double NaiveReplaceDelta(const HtaProblem& problem, const TaskBundle& bundle,
                          size_t pos, TaskIndex in, WorkerIndex worker);
 
-/// O(|bundle|²) — two full Motivation() evaluations plus a bundle copy.
+/// O(|bundle|²) — two full BundleMotivation() evaluations plus a bundle
+/// copy.
 double NaiveInsertDelta(const HtaProblem& problem, const TaskBundle& bundle,
                         TaskIndex in, WorkerIndex worker);
 

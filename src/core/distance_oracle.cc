@@ -1,6 +1,7 @@
 #include "core/distance_oracle.h"
 
 #include <cmath>
+#include <memory>
 #include <string>
 
 namespace hta {
@@ -11,15 +12,16 @@ TaskDistanceOracle::TaskDistanceOracle(const std::vector<Task>* tasks,
   HTA_CHECK(tasks != nullptr);
 }
 
-TaskDistanceOracle TaskDistanceOracle::FromSharedCache(
-    const CatalogSubsetView* view) {
-  HTA_CHECK(view != nullptr);
-  return TaskDistanceOracle(view);
+TaskDistanceOracle TaskDistanceOracle::FromPackedRows(
+    std::shared_ptr<const PackedSetMatrix> rows, DistanceKind kind) {
+  HTA_CHECK(rows != nullptr);
+  return TaskDistanceOracle(std::move(rows), kind);
 }
 
-PackedSetMatrix TaskDistanceOracle::PackedRows() const {
-  if (view_ != nullptr) return view_->GatherPackedRows();
-  return PackedSetMatrix::FromTasks(*tasks_);
+std::shared_ptr<const PackedSetMatrix> TaskDistanceOracle::PackedRows() const {
+  if (rows_ != nullptr) return rows_;
+  return std::make_shared<const PackedSetMatrix>(
+      PackedSetMatrix::FromTasks(*tasks_));
 }
 
 Result<TaskDistanceOracle> TaskDistanceOracle::FromDenseMatrix(

@@ -1,10 +1,10 @@
 #ifndef HTA_CORE_DISTANCE_ORACLE_H_
 #define HTA_CORE_DISTANCE_ORACLE_H_
 
+#include <memory>
 #include <utility>
 #include <vector>
 
-#include "core/catalog_cache.h"
 #include "core/distance.h"
 #include "core/packed_set.h"
 #include "core/task.h"
@@ -17,11 +17,10 @@ namespace hta {
 ///
 /// Distances come from one of two sources:
 ///  * keyword rows — each query computes the distance from the tasks'
-///                  keyword vectors (O(R/64) popcounts, zero memory),
-///                  either over a task vector or forwarded through a
-///                  CatalogSubsetView into the packed rows of a
-///                  persistent CatalogCache (index remap, no Task
-///                  copies; the warm path of the online engine). Both
+///                  keyword bits (O(R/64) popcounts), either from a task
+///                  vector or from packed rows the oracle shares
+///                  (FromPackedRows: the per-iteration sample the
+///                  engine gathers once from its catalog cache). Both
 ///                  give bit-identical answers for the same tasks.
 ///  * a caller-supplied matrix — FromDenseMatrix stores the strict upper
 ///                  triangle as floats (externally defined metrics, the
@@ -46,21 +45,24 @@ class TaskDistanceOracle {
       const std::vector<Task>* tasks, DistanceKind kind,
       const std::vector<double>& matrix);
 
-  /// Subset-view oracle: queries in local indices [0, view->size())
-  /// answer from the view's shared catalog cache. The view (and its
-  /// cache and catalog) is not owned and must outlive the oracle.
-  static TaskDistanceOracle FromSharedCache(const CatalogSubsetView* view);
+  /// Packed-rows oracle over `rows` (row r = task r), shared with every
+  /// copy of the oracle. Queries answer from the rows with the same
+  /// popcount kernel as CatalogCache::Distance.
+  static TaskDistanceOracle FromPackedRows(
+      std::shared_ptr<const PackedSetMatrix> rows, DistanceKind kind);
 
   /// d(t_i, t_j). Requires i, j < task_count(). d(i, i) == 0.
   double operator()(TaskIndex i, TaskIndex j) const {
     if (i == j) return 0.0;
-    if (view_ != nullptr) return view_->Distance(i, j);
+    if (rows_ != nullptr) {
+      return packed_internal::RowDistance(*rows_, kind_, i, j);
+    }
     if (!matrix_.empty()) return matrix_[TriIndex(i, j)];
     return PairwiseTaskDiversity(kind_, (*tasks_)[i], (*tasks_)[j]);
   }
 
   size_t task_count() const {
-    return view_ != nullptr ? view_->size() : tasks_->size();
+    return rows_ != nullptr ? rows_->rows() : tasks_->size();
   }
   DistanceKind kind() const { return kind_; }
 
@@ -69,22 +71,16 @@ class TaskDistanceOracle {
   /// must not bypass such a matrix.
   bool has_dense_matrix() const { return !matrix_.empty(); }
 
-  /// The task behind index `i` — works in every mode (remaps through
-  /// the subset view when present).
-  const Task& task(TaskIndex i) const {
-    if (view_ != nullptr) return view_->task(i);
-    return (*tasks_)[i];
-  }
-
-  /// The oracle's task rows as a packed SoA matrix: gathered from the
-  /// shared catalog matrix in subset mode (O(|subset|) row copies),
-  /// packed from the task vector otherwise. Rows are bitwise identical
-  /// either way, so batched kernels run unchanged on top.
-  PackedSetMatrix PackedRows() const;
+  /// The oracle's task rows as a packed SoA matrix: the held rows in
+  /// packed-rows mode (no copy), packed from the task vector otherwise.
+  /// Rows are bitwise identical either way, so batched kernels run
+  /// unchanged on top.
+  std::shared_ptr<const PackedSetMatrix> PackedRows() const;
 
  private:
-  explicit TaskDistanceOracle(const CatalogSubsetView* view)
-      : tasks_(nullptr), kind_(view->kind()), view_(view) {}
+  TaskDistanceOracle(std::shared_ptr<const PackedSetMatrix> rows,
+                     DistanceKind kind)
+      : tasks_(nullptr), kind_(kind), rows_(std::move(rows)) {}
 
   /// Packed index into the strict upper triangle (i < j).
   size_t TriIndex(TaskIndex i, TaskIndex j) const {
@@ -99,7 +95,8 @@ class TaskDistanceOracle {
   const std::vector<Task>* tasks_;
   DistanceKind kind_;
   std::vector<float> matrix_;  // Upper triangle; empty unless dense-matrix.
-  const CatalogSubsetView* view_ = nullptr;  // Null outside subset mode.
+  /// Null outside packed-rows mode.
+  std::shared_ptr<const PackedSetMatrix> rows_;
 };
 
 }  // namespace hta

@@ -12,47 +12,4 @@ double SetDiversity(const TaskBundle& bundle, const TaskDistanceOracle& d) {
   return total;
 }
 
-double SetRelevance(const TaskBundle& bundle, const std::vector<Task>& tasks,
-                    const Worker& worker, DistanceKind kind) {
-  double total = 0.0;
-  for (TaskIndex t : bundle) {
-    HTA_DCHECK_LT(static_cast<size_t>(t), tasks.size());
-    total += TaskRelevance(kind, tasks[t], worker);
-  }
-  return total;
-}
-
-double SetRelevance(const TaskBundle& bundle, const TaskDistanceOracle& d,
-                    const Worker& worker) {
-  double total = 0.0;
-  for (TaskIndex t : bundle) {
-    HTA_DCHECK_LT(static_cast<size_t>(t), d.task_count());
-    total += TaskRelevance(d.kind(), d.task(t), worker);
-  }
-  return total;
-}
-
-double Motivation(const TaskBundle& bundle, const Worker& worker,
-                  const TaskDistanceOracle& d) {
-  if (bundle.empty()) return 0.0;
-  const double td = SetDiversity(bundle, d);
-  const double tr = SetRelevance(bundle, d, worker);
-  const double size_minus_one = static_cast<double>(bundle.size()) - 1.0;
-  return 2.0 * worker.weights().alpha * td +
-         worker.weights().beta * size_minus_one * tr;
-}
-
-double DiversityMarginalGain(TaskIndex task, const TaskBundle& completed,
-                             const TaskDistanceOracle& d) {
-  double total = 0.0;
-  for (TaskIndex prev : completed) total += d(task, prev);
-  return total;
-}
-
-double RelevanceGain(TaskIndex task, const std::vector<Task>& tasks,
-                     const Worker& worker, DistanceKind kind) {
-  HTA_DCHECK_LT(static_cast<size_t>(task), tasks.size());
-  return TaskRelevance(kind, tasks[task], worker);
-}
-
 }  // namespace hta

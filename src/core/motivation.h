@@ -5,7 +5,6 @@
 
 #include "core/distance_oracle.h"
 #include "core/task.h"
-#include "core/worker.h"
 
 namespace hta {
 
@@ -13,38 +12,9 @@ namespace hta {
 using TaskBundle = std::vector<TaskIndex>;
 
 /// Task diversity TD(T') = sum over unordered pairs of d(t_k, t_l)
-/// (Eq. 1). Quadratic in |T'|.
+/// (Eq. 1). Quadratic in |T'|. Eq. 3 itself is BundleMotivation
+/// (assign/assignment.h), which reads relevance from the problem.
 double SetDiversity(const TaskBundle& bundle, const TaskDistanceOracle& d);
-
-/// Task relevance TR(T', w) = sum over t in T' of rel(t, w) (Eq. 2).
-double SetRelevance(const TaskBundle& bundle, const std::vector<Task>& tasks,
-                    const Worker& worker, DistanceKind kind);
-
-/// Same, resolving tasks through the oracle (works in every oracle
-/// mode, including shared-subset views with no local task vector).
-double SetRelevance(const TaskBundle& bundle, const TaskDistanceOracle& d,
-                    const Worker& worker);
-
-/// Expected motivation of worker w for a bundle T' (Eq. 3):
-///
-///   motiv(T', w) = 2 * alpha_w * TD(T') + beta_w * (|T'| - 1) * TR(T', w)
-///
-/// The 2 and (|T'| - 1) factors normalize the quadratic diversity term
-/// against the linear relevance term, following Gollapudi & Sharma.
-/// An empty bundle has motivation 0; note that a singleton bundle also
-/// has motivation 0 (|T'| - 1 == 0 and no pairs), matching the paper's
-/// formulation.
-double Motivation(const TaskBundle& bundle, const Worker& worker,
-                  const TaskDistanceOracle& d);
-
-/// Marginal diversity gain of completing `task` after `completed`
-/// (Section III): sum over t_k in `completed` of d(task, t_k).
-double DiversityMarginalGain(TaskIndex task, const TaskBundle& completed,
-                             const TaskDistanceOracle& d);
-
-/// Relevance gain of completing `task`: rel(task, w).
-double RelevanceGain(TaskIndex task, const std::vector<Task>& tasks,
-                     const Worker& worker, DistanceKind kind);
 
 }  // namespace hta
 

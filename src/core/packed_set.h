@@ -48,7 +48,8 @@ class PackedSetMatrix {
   /// Gathers `count` rows of `src` (row r = src row rows[r]) into a new
   /// matrix. A straight block copy plus a count copy — bitwise identical
   /// to re-packing the corresponding keyword vectors, with no popcount
-  /// recomputation. The substrate of zero-copy catalog subset views.
+  /// recomputation. The engine gathers each iteration's task sample
+  /// from the catalog matrix this way (HtaProblem::CreateFromSubset).
   static PackedSetMatrix GatherRows(const PackedSetMatrix& src,
                                     const size_t* rows, size_t count);
 
@@ -168,6 +169,21 @@ decltype(auto) WithKind(DistanceKind kind, Fn&& fn) {
   }
   HTA_CHECK(false) << "unknown DistanceKind";
   return fn(std::integral_constant<DistanceKind, DistanceKind::kJaccard>{});
+}
+
+/// d(row i, row j) of `m` under `kind`: the single-pair form of the
+/// batched kernels, bit-identical to PairwiseTaskDiversity over the
+/// rows' keyword vectors. d(i, i) == 0.
+inline double RowDistance(const PackedSetMatrix& m, DistanceKind kind,
+                          size_t i, size_t j) {
+  if (i == j) return 0.0;
+  return WithKind(kind, [&](auto kind_tag) {
+    constexpr DistanceKind K = decltype(kind_tag)::value;
+    const size_t inter =
+        IntersectionPopcount(m.row(i), m.row(j), m.row_blocks());
+    return DistanceFromCounts<K>(inter, m.count(i), m.count(j),
+                                 m.universe_size());
+  });
 }
 
 }  // namespace packed_internal

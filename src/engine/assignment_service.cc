@@ -304,17 +304,16 @@ void AssignmentService::RunIteration(const std::vector<uint64_t>& worker_ids) {
       if (!warm_seeded) Em().warm_cold_fallbacks.Add();
     }
 
-    // The instance is a zero-copy view over the shared catalog cache
-    // (kDice deployments rely on allow_non_metric, matching the
-    // estimator's unconditional use of the configured kind).
+    // The instance gathers the sample's packed rows from the shared
+    // catalog cache once and owns them (kDice deployments rely on
+    // allow_non_metric, matching the estimator's unconditional use of
+    // the configured kind).
     WallTimer setup_timer;
     std::optional<trace::PhaseSpan> setup_span;
     setup_span.emplace("engine.setup", &Em().setup_seconds);
-    const CatalogSubsetView view(warm_cache_.get(),
-                                 std::vector<size_t>(available));
     auto problem = HtaProblem::CreateFromSubset(
-        &view, &local_workers, options_.xmax, /*allow_non_metric=*/true,
-        options_.solver_threads);
+        *warm_cache_, available, &local_workers, options_.xmax,
+        /*allow_non_metric=*/true, options_.solver_threads);
     setup_span.reset();
     HTA_CHECK(problem.ok()) << problem.status();
     setup_seconds = setup_timer.ElapsedSeconds();

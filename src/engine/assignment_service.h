@@ -84,9 +84,10 @@ struct IterationRecord {
   size_t worker_count = 0;   ///< Workers (re)assigned in this iteration.
   size_t task_count = 0;     ///< Tasks offered to the solver.
   double solve_seconds = 0.0;
-  /// Problem-construction time within solve_seconds: building the
-  /// solver instance's zero-copy subset view and sweeping its relevance
-  /// table. Availability sampling is excluded.
+  /// Problem-construction time within solve_seconds: gathering the
+  /// sample's packed rows from the catalog cache once and sweeping the
+  /// instance's relevance table over them. Availability sampling is
+  /// excluded.
   double setup_seconds = 0.0;
   double motivation = 0.0;   ///< Objective value of the solved instance.
   /// Warm-start diagnostics: whether this iteration's solve was seeded

@@ -374,10 +374,11 @@ std::vector<WeightedEdge> BuildDiversityEdges(const TaskDistanceOracle& d,
       }
     });
   }
-  // PackedRows packs the oracle's rows in local-vector mode and gathers
-  // them from the shared catalog matrix in subset mode; either way the
-  // rows (and thus the emitted edges) are bitwise identical.
-  const PackedSetMatrix packed = d.PackedRows();
+  // PackedRows packs the oracle's rows in task-vector mode and returns
+  // the held rows in packed-rows mode (no copy); either way the rows
+  // (and thus the emitted edges) are bitwise identical.
+  const std::shared_ptr<const PackedSetMatrix> rows = d.PackedRows();
+  const PackedSetMatrix& packed = *rows;
   if (const std::optional<DistanceClasses> classes =
           ClassifyDistances(packed, d.kind(), n * (n - 1) / 2)) {
     return BuildClassOrderedEdges(packed, *classes, max_threads);

@@ -3,6 +3,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <string>
 
 #include "core/packed_set.h"
@@ -16,13 +17,14 @@ void HtaProblem::FillRelevanceTable(std::vector<double>* rel,
     return;
   }
   rel->resize(task_count() * worker_count());
-  // PackedRows gathers from the shared catalog matrix in subset mode
-  // (no re-packing) and packs the local vector otherwise; rows are
-  // bitwise identical either way.
-  const PackedSetMatrix packed_tasks = oracle_.PackedRows();
+  // PackedRows returns a subset problem's own rows (CreateFromSubset
+  // sweeps its table through here) and packs the task vector otherwise;
+  // rows are bitwise identical either way.
+  const std::shared_ptr<const PackedSetMatrix> packed_tasks =
+      oracle_.PackedRows();
   const PackedSetMatrix packed_workers =
       PackedSetMatrix::FromWorkers(*workers_);
-  RectangularRelevance(packed_tasks, packed_workers, oracle_.kind(),
+  RectangularRelevance(*packed_tasks, packed_workers, oracle_.kind(),
                        rel->data(), max_threads);
 }
 
@@ -91,19 +93,24 @@ Result<HtaProblem> HtaProblem::Create(const std::vector<Task>* tasks,
                                       bool allow_non_metric) {
   HTA_RETURN_IF_ERROR(ValidateShape(tasks, workers, xmax));
   HTA_RETURN_IF_ERROR(CheckMetric(kind, allow_non_metric));
-  return HtaProblem(workers, xmax, TaskDistanceOracle(tasks, kind));
+  return HtaProblem(tasks, workers, xmax, TaskDistanceOracle(tasks, kind));
 }
 
 Result<HtaProblem> HtaProblem::CreateFromSubset(
-    const CatalogSubsetView* view, const std::vector<Worker>* workers,
-    size_t xmax, bool allow_non_metric, size_t max_threads) {
-  HTA_CHECK(view != nullptr);
-  if (view->size() == 0) {
+    const CatalogCache& cache, std::span<const size_t> catalog_indices,
+    const std::vector<Worker>* workers, size_t xmax, bool allow_non_metric,
+    size_t max_threads) {
+  if (catalog_indices.empty()) {
     return Status::InvalidArgument("HTA needs at least one task");
   }
   HTA_RETURN_IF_ERROR(ValidateWorkers(workers, xmax));
-  HTA_RETURN_IF_ERROR(CheckMetric(view->kind(), allow_non_metric));
-  HtaProblem problem(workers, xmax, TaskDistanceOracle::FromSharedCache(view));
+  HTA_RETURN_IF_ERROR(CheckMetric(cache.kind(), allow_non_metric));
+  auto rows = std::make_shared<const PackedSetMatrix>(
+      PackedSetMatrix::GatherRows(cache.packed(), catalog_indices.data(),
+                                  catalog_indices.size()));
+  HtaProblem problem(
+      /*tasks=*/nullptr, workers, xmax,
+      TaskDistanceOracle::FromPackedRows(std::move(rows), cache.kind()));
   std::vector<double> rel;
   problem.FillRelevanceTable(&rel, max_threads);
   problem.relevance_ = std::move(rel);
@@ -113,7 +120,7 @@ Result<HtaProblem> HtaProblem::CreateFromSubset(
 HtaProblem HtaProblem::WithWorkers(const std::vector<Worker>* workers) const {
   HTA_CHECK(workers != nullptr);
   HTA_CHECK_EQ(workers->size(), workers_->size());
-  HtaProblem copy(workers, xmax_, oracle_);
+  HtaProblem copy(tasks_, workers, xmax_, oracle_);
   copy.relevance_ = relevance_;
   return copy;
 }
@@ -138,7 +145,7 @@ Result<HtaProblem> HtaProblem::CreateWithMatrices(
       TaskDistanceOracle oracle,
       TaskDistanceOracle::FromDenseMatrix(tasks, DistanceKind::kJaccard,
                                           distances));
-  HtaProblem problem(workers, xmax, std::move(oracle));
+  HtaProblem problem(tasks, workers, xmax, std::move(oracle));
   problem.relevance_ = relevance;
   return problem;
 }

@@ -2,8 +2,10 @@
 #define HTA_QAP_HTA_PROBLEM_H_
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
+#include "core/catalog_cache.h"
 #include "core/distance_oracle.h"
 #include "core/task.h"
 #include "core/worker.h"
@@ -22,7 +24,15 @@ namespace hta {
 /// requires finite alpha, beta >= 0 with a positive sum; the adaptive
 /// estimator always produces normalized pairs.
 ///
-/// The problem does not own tasks or workers; both must outlive it.
+/// Each problem is the single source of its task rows and its
+/// relevance: every consumer (Eq. 3 via BundleMotivation, the LSAP
+/// profits, QapView::C, the local search) reads Relevance() /
+/// FillRelevanceTable() and oracle(), so an instance never disagrees
+/// with itself about what rel(t, w) or d(t, t') is.
+///
+/// The problem does not own workers, nor the task vector passed to
+/// Create / CreateWithMatrices; those must outlive it. A subset problem
+/// owns its gathered rows and needs nothing but its workers.
 class HtaProblem {
  public:
   /// Builds a problem computing distances/relevance from keyword
@@ -48,21 +58,23 @@ class HtaProblem {
       size_t xmax, const std::vector<double>& distances,
       const std::vector<double>& relevance);
 
-  /// Builds a problem over a zero-copy catalog subset view (the warm
-  /// path of the online engine): no Task copies, distances resolve
-  /// through the view's shared CatalogCache. The |T| x |W| relevance
-  /// table is swept once here from the catalog's packed rows (the
-  /// kernel FillRelevanceTable runs; `max_threads` caps it, 0 = pool
-  /// size), so every later Relevance() and FillRelevanceTable() call
-  /// reads it. The view (and its cache/catalog) must outlive the
-  /// problem. The metric is the view's kind. Validation matches
-  /// Create's.
+  /// Builds a problem over the catalog tasks `catalog_indices` (local
+  /// task k = catalog task catalog_indices[k]; any order, repeats
+  /// allowed) — the per-iteration sample of the online engine. The
+  /// sample's packed rows are gathered from the cache once; the problem
+  /// owns them (its oracle answers from them and every WithWorkers copy
+  /// shares them), and the |T| x |W| relevance table is swept over them
+  /// once here (`max_threads` caps the sweep, 0 = pool size), so every
+  /// later Relevance() and FillRelevanceTable() call reads it. No Task
+  /// is copied and the cache need not outlive the problem. The metric
+  /// is the cache's kind. Validation matches Create's.
   static Result<HtaProblem> CreateFromSubset(
-      const CatalogSubsetView* view, const std::vector<Worker>* workers,
-      size_t xmax, bool allow_non_metric = false, size_t max_threads = 0);
+      const CatalogCache& cache, std::span<const size_t> catalog_indices,
+      const std::vector<Worker>* workers, size_t xmax,
+      bool allow_non_metric = false, size_t max_threads = 0);
 
   /// A copy of this problem with the worker list replaced (same tasks,
-  /// same oracle — including a shared subset view or dense-matrix
+  /// same oracle — including shared packed rows or a dense-matrix
   /// override — same xmax, same relevance table). `workers` must
   /// outlive the copy, have the original worker count and the original
   /// interests (relevance does not depend on alpha/beta); the
@@ -71,9 +83,6 @@ class HtaProblem {
   HtaProblem WithWorkers(const std::vector<Worker>* workers) const;
 
   const std::vector<Worker>& workers() const { return *workers_; }
-
-  /// The task behind index `t`, in every mode.
-  const Task& task(TaskIndex t) const { return oracle_.task(t); }
 
   size_t task_count() const { return oracle_.task_count(); }
   size_t worker_count() const { return workers_->size(); }
@@ -94,25 +103,31 @@ class HtaProblem {
                           size_t max_threads = 0) const;
 
   /// rel(t_k, w_q): the held table when present, otherwise derived
-  /// from keyword vectors under the problem's metric.
+  /// from keyword vectors under the problem's metric (Create).
   double Relevance(TaskIndex task, WorkerIndex worker) const {
     if (!relevance_.empty()) {
       return relevance_[static_cast<size_t>(task) * worker_count() + worker];
     }
-    return TaskRelevance(oracle_.kind(), oracle_.task(task),
-                         (*workers_)[worker]);
+    return TaskRelevance(oracle_.kind(), (*tasks_)[task], (*workers_)[worker]);
   }
 
  private:
-  HtaProblem(const std::vector<Worker>* workers, size_t xmax,
+  HtaProblem(const std::vector<Task>* tasks,
+             const std::vector<Worker>* workers, size_t xmax,
              TaskDistanceOracle oracle)
-      : workers_(workers), xmax_(xmax), oracle_(std::move(oracle)) {}
+      : tasks_(tasks),
+        workers_(workers),
+        xmax_(xmax),
+        oracle_(std::move(oracle)) {}
 
   static Status ValidateShape(const std::vector<Task>* tasks,
                               const std::vector<Worker>* workers, size_t xmax);
   static Status ValidateWorkers(const std::vector<Worker>* workers,
                                 size_t xmax);
 
+  /// The caller's tasks, read by the lazy Relevance() of Create; null
+  /// for subset problems.
+  const std::vector<Task>* tasks_;
   const std::vector<Worker>* workers_;
   size_t xmax_;
   TaskDistanceOracle oracle_;

@@ -14,9 +14,9 @@ namespace hta {
 /// Configuration of the online-deployment reproduction (Section V-C /
 /// Fig. 5). Defaults follow the paper: 20 work sessions per strategy,
 /// 30-minute sessions, Xmax = 15 with 5 extra random tasks. The
-/// embedded service solves every iteration over a subset view of its
-/// catalog cache, so per-iteration setup is amortized to the subset
-/// remap.
+/// embedded service solves every iteration over rows gathered once
+/// from its catalog cache, so per-iteration setup is one O(|sample|)
+/// row gather plus the relevance sweep.
 struct OnlineExperimentOptions {
   std::vector<StrategyKind> strategies = {
       StrategyKind::kHtaGre, StrategyKind::kHtaGreRel,

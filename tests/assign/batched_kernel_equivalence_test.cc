@@ -207,7 +207,7 @@ TEST(BatchedKernelEquivalenceTest, RelevanceTableBitIdentical) {
 // The solver's tabulated auxiliary-LSAP profits compute
 // c_{k,q*Xmax} = beta_q * rel[k*|W|+q] * (Xmax-1) from the relevance
 // table; that must equal QapView::C, which evaluates Relevance() per
-// entry, bit-for-bit — on keyword-derived and on subset-view problems.
+// entry, bit-for-bit — on keyword-derived and on subset problems.
 TEST(BatchedKernelEquivalenceTest, TabulatedProfitMatchesQapViewC) {
   for (const DistanceKind kind : kAllKinds) {
     const Instance inst = MakeInstance(70, 5, 171);
@@ -218,9 +218,8 @@ TEST(BatchedKernelEquivalenceTest, TabulatedProfitMatchesQapViewC) {
     const CatalogCache cache(&inst.tasks, kind);
     std::vector<size_t> subset;
     for (size_t t = 1; t < inst.tasks.size(); t += 2) subset.push_back(t);
-    const CatalogSubsetView view(&cache, subset);
-    auto from_subset = HtaProblem::CreateFromSubset(&view, &inst.workers,
-                                                    /*xmax=*/4, non_metric);
+    auto from_subset = HtaProblem::CreateFromSubset(
+        cache, subset, &inst.workers, /*xmax=*/4, non_metric);
     ASSERT_TRUE(from_subset.ok());
     for (const HtaProblem* problem : {&*created, &*from_subset}) {
       const QapView qap(problem);

@@ -4,17 +4,31 @@
 //                   (alpha, beta) = (0.2, 0.8) and (0.6, 0.3));
 //   * Example 2   — bundle extraction via Eq. 7 for a given permutation;
 //   * Example 3   — the HTA-APP trace: M_B, the auxiliary profit
-//                   f_{1,1} = 0.848, and a full solve.
+//                   f_{1,1} = 0.848, and a full solve;
+//   * Eq. 3       — every objective the library reports for this
+//                   instance (solver stats, the auditor's recompute,
+//                   the naive and cached local-search deltas) scores
+//                   Table I's relevance, not the placeholder keywords.
+#include <cmath>
+#include <cstdlib>
 #include <memory>
 
 #include <gtest/gtest.h>
 
+#include "assign/auditor.h"
 #include "assign/hta_solver.h"
 #include "matching/max_weight_matching.h"
 #include "qap/qap_view.h"
 
 namespace hta {
 namespace {
+
+// Force the auditor on before anything latches AuditEnabled(), so the
+// local search checks its incremental objective after every pass.
+const bool kForceAudit = [] {
+  setenv("HTA_AUDIT", "1", /*overwrite=*/1);
+  return true;
+}();
 
 class WorkedExampleTest : public ::testing::Test {
  protected:
@@ -62,6 +76,29 @@ class WorkedExampleTest : public ::testing::Test {
                                                   distances_, relevance_);
     HTA_CHECK(problem.ok()) << problem.status();
     problem_ = std::make_unique<HtaProblem>(std::move(*problem));
+  }
+
+  // Eq. 3 summed over workers, straight from the fixture's matrices.
+  // The oracle stores distances as floats, so agreement with the
+  // library is to float precision.
+  double TableOneMotivation(const Assignment& assignment) const {
+    double total = 0.0;
+    for (size_t q = 0; q < assignment.bundles.size(); ++q) {
+      const TaskBundle& bundle = assignment.bundles[q];
+      if (bundle.empty()) continue;
+      double td = 0.0;
+      double tr = 0.0;
+      for (size_t k = 0; k < bundle.size(); ++k) {
+        tr += relevance_[bundle[k] * 2 + q];
+        for (size_t l = k + 1; l < bundle.size(); ++l) {
+          td += distances_[bundle[k] * 8 + bundle[l]];
+        }
+      }
+      const MotivationWeights& w = workers_[q].weights();
+      total += 2.0 * w.alpha * td +
+               w.beta * (static_cast<double>(bundle.size()) - 1.0) * tr;
+    }
+    return total;
   }
 
   std::vector<Task> tasks_;
@@ -172,6 +209,55 @@ TEST_F(WorkedExampleTest, FullSolveIsFeasibleAndNontrivial) {
     EXPECT_EQ(app->assignment.bundles[0].size(), 3u);
     EXPECT_EQ(app->assignment.bundles[1].size(), 3u);
     EXPECT_GT(app->stats.motivation, 0.0);
+  }
+}
+
+// Unpadded (n = |W| * Xmax = 8 tasks) and with no swap step, Eq. 8 of
+// the final permutation is Eq. 3 of the extracted assignment, so the
+// two reported objectives must agree — and both must score Table I.
+TEST_F(WorkedExampleTest, ReportedMotivationIsEquationThreeUnderTableOne) {
+  for (const LsapMethod lsap : {LsapMethod::kExactJv, LsapMethod::kGreedy}) {
+    HtaSolverOptions options;
+    options.lsap = lsap;
+    options.swap = SwapMode::kNone;
+    auto solved = SolveHta(*problem_, options);
+    ASSERT_TRUE(solved.ok()) << solved.status();
+    const double motivation = solved->stats.motivation;
+    const double qap = solved->stats.qap_objective;
+    EXPECT_NEAR(motivation, qap, 1e-12 * std::abs(qap)) << SolverName(options);
+    EXPECT_NEAR(motivation, TableOneMotivation(solved->assignment), 1e-6)
+        << SolverName(options);
+  }
+}
+
+// With the auditor on, every local-search pass checks initial + Σ
+// applied deltas (Table I via the cached tables) against a from-scratch
+// Eq. 3 recompute, which must read Table I too.
+TEST_F(WorkedExampleTest, ImproveAssignmentFromPartialSeedPassesAudit) {
+  ASSERT_TRUE(kForceAudit);
+  ASSERT_TRUE(AuditEnabled());
+  Assignment seed;
+  seed.bundles = {{6, 1}, {2}};  // t7, t2 | t3: both bundles have room.
+  const double initial = TotalMotivation(*problem_, seed);
+  EXPECT_NEAR(initial, TableOneMotivation(seed), 1e-6);
+  auto improved = ImproveAssignment(*problem_, seed, LocalSearchOptions{});
+  ASSERT_TRUE(improved.ok()) << improved.status();
+  EXPECT_EQ(improved->initial_motivation, initial);
+  EXPECT_GT(improved->motivation, initial);
+  EXPECT_NEAR(improved->motivation,
+              TableOneMotivation(improved->assignment), 1e-6);
+}
+
+TEST_F(WorkedExampleTest, NaiveInsertDeltaMatchesCachedInsertDelta) {
+  Assignment assignment;
+  assignment.bundles = {{0, 4}, {7}};
+  const BundleStatsCache cache(*problem_, &assignment, /*max_threads=*/1);
+  for (WorkerIndex q = 0; q < 2; ++q) {
+    for (TaskIndex t : {1, 2, 3, 5, 6}) {
+      EXPECT_NEAR(NaiveInsertDelta(*problem_, assignment.bundles[q], t, q),
+                  cache.InsertDelta(q, t), 1e-12)
+          << "worker " << q << " task " << t;
+    }
   }
 }
 

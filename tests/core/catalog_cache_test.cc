@@ -1,11 +1,14 @@
 // Unit tests for the warm catalog caches (core/catalog_cache.h):
 // packed-row distances (bit-identity against the scalar reference),
-// zero-copy subset views with non-contiguous remaps, GatherRows
-// bit-identity, the shared-cache oracle, and subset-view HtaProblem
-// construction solving bit-identically to a cold Create over copied
-// tasks, and FillRelevanceRow against the scalar and swept relevance.
+// and the subset problems HtaProblem::CreateFromSubset builds from a
+// cache: non-contiguous samples, gathered rows bit-identical to
+// repacking, the rows gathered once and shared by every copy, the
+// packed-rows oracle against a local oracle, subset problems solving
+// bit-identically to a cold Create over copied tasks, and
+// FillRelevanceRow against the scalar and swept relevance.
 #include "core/catalog_cache.h"
 
+#include <memory>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -74,20 +77,44 @@ TEST(CatalogCacheTest, DisabledTriangleStillBitIdentical) {
   }
 }
 
+// A one-worker subset problem over `sample`; Dice needs
+// allow_non_metric.
+HtaProblem SubsetProblem(const CatalogCache& cache,
+                         const std::vector<size_t>& sample,
+                         const std::vector<Worker>* workers) {
+  auto problem = HtaProblem::CreateFromSubset(cache, sample, workers,
+                                              /*xmax=*/2,
+                                              /*allow_non_metric=*/true);
+  HTA_CHECK(problem.ok()) << problem.status();
+  return std::move(*problem);
+}
+
+std::vector<Worker> OneWorker(size_t universe) {
+  return {Worker(1, KeywordVector(universe, {1, 2}),
+                 MotivationWeights{0.5, 0.5})};
+}
+
 TEST(CatalogSubsetViewTest, NonContiguousRemapExposesUnderlyingTasks) {
   const auto catalog = RandomCatalog(64, 50, 15);
   const CatalogCache cache(&catalog, DistanceKind::kJaccard);
   const std::vector<size_t> sample = {3, 7, 20, 21, 50, 63};
-  const CatalogSubsetView view(&cache, sample);
-  ASSERT_EQ(view.size(), sample.size());
-  EXPECT_EQ(view.kind(), DistanceKind::kJaccard);
+  const std::vector<Worker> workers = OneWorker(50);
+  const HtaProblem problem = SubsetProblem(cache, sample, &workers);
+  ASSERT_EQ(problem.task_count(), sample.size());
+  EXPECT_EQ(problem.distance_kind(), DistanceKind::kJaccard);
+  // Local row k is catalog row sample[k].
+  const std::shared_ptr<const PackedSetMatrix> rows =
+      problem.oracle().PackedRows();
   for (size_t k = 0; k < sample.size(); ++k) {
-    EXPECT_EQ(view.catalog_index(k), sample[k]);
-    EXPECT_EQ(&view.task(k), &catalog[sample[k]]);  // Zero-copy.
+    EXPECT_EQ(rows->count(k), cache.packed().count(sample[k]));
+    for (size_t b = 0; b < rows->row_blocks(); ++b) {
+      EXPECT_EQ(rows->row(k)[b], cache.packed().row(sample[k])[b]);
+    }
   }
+  const TaskDistanceOracle& oracle = problem.oracle();
   for (size_t a = 0; a < sample.size(); ++a) {
     for (size_t b = 0; b < sample.size(); ++b) {
-      EXPECT_EQ(view.Distance(a, b),
+      EXPECT_EQ(oracle(static_cast<TaskIndex>(a), static_cast<TaskIndex>(b)),
                 PairwiseTaskDiversity(DistanceKind::kJaccard,
                                       catalog[sample[a]], catalog[sample[b]]));
     }
@@ -99,8 +126,9 @@ TEST(CatalogSubsetViewTest, GatherPackedRowsBitIdenticalToRepacking) {
   const CatalogCache cache(&catalog, DistanceKind::kJaccard);
   const std::vector<size_t> sample = {69, 0, 33, 33, 12, 68};  // Unsorted,
                                                                // repeated.
-  const CatalogSubsetView view(&cache, sample);
-  const PackedSetMatrix gathered = view.GatherPackedRows();
+  const std::vector<Worker> workers = OneWorker(130);
+  const HtaProblem problem = SubsetProblem(cache, sample, &workers);
+  const PackedSetMatrix& gathered = *problem.oracle().PackedRows();
 
   std::vector<Task> copies;
   for (size_t c : sample) copies.push_back(catalog[c]);
@@ -118,12 +146,42 @@ TEST(CatalogSubsetViewTest, GatherPackedRowsBitIdenticalToRepacking) {
   }
 }
 
+// A subset problem gathers its rows once: PackedRows() hands out the
+// held rows (no second gather), WithWorkers copies share them, and the
+// problem no longer needs the cache it was built from.
+TEST(CatalogSubsetViewTest, SubsetProblemGathersRowsOnce) {
+  const auto catalog = RandomCatalog(40, 70, 20);
+  const std::vector<size_t> sample = {5, 17, 2, 39, 11};
+  const std::vector<Worker> workers = OneWorker(70);
+  auto cache = std::make_unique<CatalogCache>(&catalog, DistanceKind::kJaccard);
+  const HtaProblem problem = SubsetProblem(*cache, sample, &workers);
+  cache.reset();
+
+  const std::shared_ptr<const PackedSetMatrix> rows =
+      problem.oracle().PackedRows();
+  EXPECT_EQ(problem.oracle().PackedRows(), rows);
+  std::vector<Worker> reweighted = workers;
+  reweighted[0].set_weights(MotivationWeights::DiversityOnly());
+  const HtaProblem copy = problem.WithWorkers(&reweighted);
+  EXPECT_EQ(copy.oracle().PackedRows(), rows);
+
+  for (size_t a = 0; a < sample.size(); ++a) {
+    for (size_t b = 0; b < sample.size(); ++b) {
+      EXPECT_EQ(
+          copy.oracle()(static_cast<TaskIndex>(a), static_cast<TaskIndex>(b)),
+          PairwiseTaskDiversity(DistanceKind::kJaccard, catalog[sample[a]],
+                                catalog[sample[b]]));
+    }
+  }
+}
+
 TEST(CatalogSubsetViewTest, SharedCacheOracleMatchesLocalOracle) {
   const auto catalog = RandomCatalog(50, 60, 17);
   const CatalogCache cache(&catalog, DistanceKind::kDice);
   const std::vector<size_t> sample = {1, 4, 9, 16, 25, 36, 49};
-  const CatalogSubsetView view(&cache, sample);
-  const TaskDistanceOracle shared = TaskDistanceOracle::FromSharedCache(&view);
+  const std::vector<Worker> workers = OneWorker(60);
+  const HtaProblem problem = SubsetProblem(cache, sample, &workers);
+  const TaskDistanceOracle& shared = problem.oracle();
   EXPECT_FALSE(shared.has_dense_matrix());
   EXPECT_EQ(shared.task_count(), sample.size());
   EXPECT_EQ(shared.kind(), DistanceKind::kDice);
@@ -132,7 +190,6 @@ TEST(CatalogSubsetViewTest, SharedCacheOracleMatchesLocalOracle) {
   for (size_t c : sample) copies.push_back(catalog[c]);
   const TaskDistanceOracle local(&copies, DistanceKind::kDice);
   for (size_t a = 0; a < sample.size(); ++a) {
-    EXPECT_EQ(&shared.task(static_cast<TaskIndex>(a)), &catalog[sample[a]]);
     for (size_t b = 0; b < sample.size(); ++b) {
       EXPECT_EQ(shared(static_cast<TaskIndex>(a), static_cast<TaskIndex>(b)),
                 local(static_cast<TaskIndex>(a), static_cast<TaskIndex>(b)));
@@ -157,8 +214,8 @@ TEST(CatalogSubsetViewTest, CreateFromSubsetSolvesBitIdenticallyToCreate) {
 
   for (const DistanceKind kind : kAllKinds) {
     const CatalogCache cache(&catalog, kind);
-    const CatalogSubsetView view(&cache, sample);
-    auto warm = HtaProblem::CreateFromSubset(&view, &workers, /*xmax=*/4,
+    auto warm = HtaProblem::CreateFromSubset(cache, sample, &workers,
+                                             /*xmax=*/4,
                                              /*allow_non_metric=*/true);
     ASSERT_TRUE(warm.ok()) << warm.status();
 
@@ -191,10 +248,9 @@ TEST(CatalogSubsetViewTest, CreateFromSubsetSolvesBitIdenticallyToCreate) {
 TEST(CatalogSubsetViewTest, EmptySubsetIsRejectedByCreateFromSubset) {
   const auto catalog = RandomCatalog(10, 30, 19);
   const CatalogCache cache(&catalog, DistanceKind::kJaccard);
-  const CatalogSubsetView view(&cache, {});
-  const std::vector<Worker> workers = {
-      Worker(1, KeywordVector(30, {1, 2}), MotivationWeights{0.5, 0.5})};
-  auto problem = HtaProblem::CreateFromSubset(&view, &workers, /*xmax=*/2);
+  const std::vector<Worker> workers = OneWorker(30);
+  auto problem = HtaProblem::CreateFromSubset(cache, {}, &workers,
+                                              /*xmax=*/2);
   EXPECT_FALSE(problem.ok());
   EXPECT_EQ(problem.status().code(), StatusCode::kInvalidArgument);
 }

@@ -67,7 +67,6 @@ TEST(DistanceOracleTest, ReportsKindAndCount) {
   const TaskDistanceOracle oracle(&tasks, DistanceKind::kCosineAngular);
   EXPECT_EQ(oracle.kind(), DistanceKind::kCosineAngular);
   EXPECT_EQ(oracle.task_count(), 5u);
-  EXPECT_EQ(&oracle.task(3), &tasks[3]);
 }
 
 TEST(DistanceOracleTest, SingleTask) {

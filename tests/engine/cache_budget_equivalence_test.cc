@@ -6,7 +6,7 @@
 // pool state, and the full iteration-record stream (bit-identical
 // objectives). The script is exercised across every DistanceKind
 // (including the non-metric Dice) and several solver thread caps.
-// (Subset-view solves against solves over task copies are pinned by
+// (Subset-problem solves against solves over task copies are pinned by
 // CatalogSubsetViewTest.CreateFromSubsetSolvesBitIdenticallyToCreate.)
 #include <tuple>
 #include <vector>

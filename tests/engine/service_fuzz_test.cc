@@ -14,8 +14,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/distance_oracle.h"
-#include "core/motivation.h"
+#include "assign/assignment.h"
 #include "engine/assignment_service.h"
 #include "sim/catalog.h"
 #include "util/rng.h"
@@ -211,14 +210,20 @@ struct ChurnCase {
 
 class WarmStartChurn : public ::testing::TestWithParam<ChurnCase> {};
 
+// Eq. 3 of `id`'s displayed bundle under fixed default weights, over a
+// lazy problem on the whole catalog (Create does no relevance sweep).
 double BundleQuality(const AssignmentService& service, uint64_t id,
                      const KeywordVector& interests,
-                     const TaskDistanceOracle& oracle) {
+                     const std::vector<Task>& catalog) {
   TaskBundle bundle;
   for (const size_t t : service.Displayed(id)) {
     bundle.push_back(static_cast<TaskIndex>(t));
   }
-  return Motivation(bundle, Worker(id, interests), oracle);
+  const std::vector<Worker> workers = {Worker(id, interests)};
+  auto problem = HtaProblem::Create(&catalog, &workers,
+                                    std::max<size_t>(bundle.size(), 1));
+  HTA_CHECK(problem.ok()) << problem.status();
+  return BundleMotivation(*problem, 0, bundle);
 }
 
 void CheckDisplayOwnership(const AssignmentService& service,
@@ -242,7 +247,6 @@ TEST_P(WarmStartChurn, WarmBundlesNeverWorseOnAlignedRefreshes) {
   catalog_options.seed = churn.seed;
   auto catalog = GenerateCatalog(catalog_options);
   ASSERT_TRUE(catalog.ok());
-  const TaskDistanceOracle oracle(&catalog->tasks, DistanceKind::kJaccard);
 
   Rng rng(churn.seed + 1);
   std::vector<KeywordVector> interests;
@@ -301,9 +305,9 @@ TEST_P(WarmStartChurn, WarmBundlesNeverWorseOnAlignedRefreshes) {
       }
     }
     const double cold_quality =
-        BundleQuality(cold, id, interests[id], oracle);
+        BundleQuality(cold, id, interests[id], catalog->tasks);
     const double warm_quality =
-        BundleQuality(warm, id, interests[id], oracle);
+        BundleQuality(warm, id, interests[id], catalog->tasks);
     EXPECT_GE(warm_quality, 0.9 * cold_quality)
         << "worker " << id << " round " << round;
     cold_quality_sum += cold_quality;

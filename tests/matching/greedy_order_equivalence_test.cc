@@ -16,6 +16,7 @@
 #include "core/catalog_cache.h"
 #include "core/distance_oracle.h"
 #include "matching/max_weight_matching.h"
+#include "qap/hta_problem.h"
 #include "util/rng.h"
 
 namespace hta {
@@ -100,6 +101,7 @@ void ExpectDiversityGraphMatches(const TaskDistanceOracle& oracle,
 TEST(GreedyOrderEquivalenceTest, DiversityGraphsOfEveryOracleMode) {
   ASSERT_TRUE(kForcePoolSize);
   const std::vector<Task> tasks = RandomTasks(150, 7);
+  const std::vector<Worker> workers = {Worker(1, KeywordVector(40, {3}))};
   for (const DistanceKind kind : kAllKinds) {
     const std::string name = DistanceKindName(kind);
     const TaskDistanceOracle on_the_fly(&tasks, kind);
@@ -120,9 +122,11 @@ TEST(GreedyOrderEquivalenceTest, DiversityGraphsOfEveryOracleMode) {
     const CatalogCache cache(&tasks, kind);
     std::vector<size_t> sample;
     for (size_t c = 3; c < n; c += 2) sample.push_back(c);
-    const CatalogSubsetView view(&cache, sample);
-    ExpectDiversityGraphMatches(TaskDistanceOracle::FromSharedCache(&view),
-                                name + " subset");
+    auto subset = HtaProblem::CreateFromSubset(cache, sample, &workers,
+                                               /*xmax=*/2,
+                                               /*allow_non_metric=*/true);
+    ASSERT_TRUE(subset.ok()) << subset.status();
+    ExpectDiversityGraphMatches(subset->oracle(), name + " subset");
   }
 }
 

@@ -74,7 +74,7 @@ TEST(HtaProblemTest, RejectsNegativeOrZeroSumWeights) {
 TEST(HtaProblemTest, RejectsNonFiniteWeights) {
   const auto tasks = TwoTasks();
   const CatalogCache cache(&tasks, DistanceKind::kJaccard);
-  const CatalogSubsetView view(&cache, {0, 1});
+  const std::vector<size_t> both = {0, 1};
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
   const MotivationWeights bad_weights[] = {
@@ -93,8 +93,9 @@ TEST(HtaProblemTest, RejectsNonFiniteWeights) {
                   .code(),
               StatusCode::kInvalidArgument)
         << label;
-    EXPECT_EQ(HtaProblem::CreateFromSubset(&view, &workers, 2).status().code(),
-              StatusCode::kInvalidArgument)
+    EXPECT_EQ(
+        HtaProblem::CreateFromSubset(cache, both, &workers, 2).status().code(),
+        StatusCode::kInvalidArgument)
         << label;
   }
 }
