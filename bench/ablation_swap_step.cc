@@ -35,8 +35,8 @@ int main() {
       HtaProblem::Create(&workload.catalog.tasks, &workload.workers, 10);
   HTA_CHECK(problem.ok()) << problem.status();
 
-  TableWriter table({"lsap", "swap mode", "qap objective (mean)",
-                     "qap objective (stddev)"});
+  TableWriter table({"lsap", "swap mode", "motivation (mean)",
+                     "motivation (stddev)"});
   for (const LsapMethod lsap : {LsapMethod::kExactJv, LsapMethod::kGreedy}) {
     for (const SwapMode swap :
          {SwapMode::kNone, SwapMode::kRandom, SwapMode::kBestOfTwo}) {
@@ -49,7 +49,7 @@ int main() {
         options.seed = 100 + s;
         auto result = SolveHta(*problem, options);
         HTA_CHECK(result.ok()) << result.status();
-        stat.Add(result->stats.qap_objective);
+        stat.Add(result->stats.motivation);
       }
       const char* swap_name = swap == SwapMode::kNone
                                   ? "none"

@@ -1,9 +1,9 @@
 // A11 — Ablation: serial vs multi-threaded execution of the parallel
-// compute layer (util/parallel.h). Times each parallelized hot kernel
-// — the O(|T|^2) diversity edge build, the QAP objective — and the
-// end-to-end HTA-APP solve, first capped to one thread and then across
-// the full pool, and checks the determinism contract: every output must
-// be bit-identical.
+// compute layer (util/parallel.h). Times the O(|T|^2) diversity edge
+// build and the end-to-end HTA-APP solve, first capped to one thread
+// and then across the full pool, and checks the determinism contract:
+// every output (edges, bundles, motivation, certified ratio) must be
+// bit-identical.
 //
 // Thread count comes from HTA_THREADS (default: hardware concurrency);
 // run with HTA_THREADS=1 to sanity-check the fully serial pool. On a
@@ -83,20 +83,6 @@ int main() {
   add_row("diversity edges", edges_serial_s, edges_parallel_s,
           edges_identical);
 
-  // QAP objective (blocked linear + per-clique reductions) on the
-  // identity permutation.
-  const QapView view(&*problem);
-  std::vector<int32_t> perm(view.n());
-  for (size_t k = 0; k < perm.size(); ++k) perm[k] = static_cast<int32_t>(k);
-  timer.Restart();
-  const double obj_serial = view.Objective(perm, /*max_threads=*/1);
-  const double obj_serial_s = timer.ElapsedSeconds();
-  timer.Restart();
-  const double obj_parallel = view.Objective(perm);
-  const double obj_parallel_s = timer.ElapsedSeconds();
-  add_row("qap objective", obj_serial_s, obj_parallel_s,
-          obj_serial == obj_parallel);
-
   // End-to-end HTA-APP (matching + tabulated-profit exact LSAP +
   // extraction).
   HtaSolverOptions options;
@@ -113,8 +99,8 @@ int main() {
   const double solve_parallel_s = timer.ElapsedSeconds();
   HTA_CHECK(solve_parallel.ok()) << solve_parallel.status();
   add_row("SolveHtaApp end-to-end", solve_serial_s, solve_parallel_s,
-          solve_serial->stats.qap_objective ==
-                  solve_parallel->stats.qap_objective &&
+          solve_serial->stats.motivation ==
+                  solve_parallel->stats.motivation &&
               solve_serial->stats.certified_ratio ==
                   solve_parallel->stats.certified_ratio &&
               solve_serial->assignment.bundles ==
@@ -122,10 +108,8 @@ int main() {
 
   table.Print(std::cout);
   std::cout << "\nexpected shape: on an N-core host the edge build "
-               "approaches Nx speedup\n(embarrassingly parallel rows); the "
-               "objective scales similarly but touches\nmore memory per "
-               "flop. The identical column certifies the determinism\n"
-               "contract: HTA_THREADS only changes wall time, never "
-               "results.\n";
+               "approaches Nx speedup\n(embarrassingly parallel rows). The "
+               "identical column certifies the determinism\ncontract: "
+               "HTA_THREADS only changes wall time, never results.\n";
   return 0;
 }

@@ -65,37 +65,37 @@ void BM_GreedyMatching(benchmark::State& state) {
 BENCHMARK(BM_GreedyMatching)->Arg(100)->Arg(200)->Arg(400);
 
 void BM_LsapGreedy(benchmark::State& state) {
+  // Unstructured square profits: every column its own group, so the
+  // group-major table is the n x n matrix's transpose.
   const size_t n = static_cast<size_t>(state.range(0));
   Rng rng(5);
-  std::vector<double> m(n * n);
-  for (double& v : m) v = rng.NextDouble();
+  std::vector<double> table(n * n);
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = 0; j < n; ++j) table[j * n + i] = rng.NextDouble();
+  }
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        SolveLsapGreedy(n, DenseProfit(n, &m), /*group_count=*/n,
-                        /*group_size=*/1));
+        SolveLsapGreedy(n, table, /*group_count=*/n, /*group_size=*/1));
   }
 }
 BENCHMARK(BM_LsapGreedy)->Arg(50)->Arg(100)->Arg(200);
 
 void BM_LsapExact(benchmark::State& state) {
   // HTA-shaped instance: n / 40 groups of 10 columns (|W| workers of
-  // Xmax = 10), one random profit per (row, group).
+  // Xmax = 10), one random profit per (row, group), group-major.
   const size_t n = static_cast<size_t>(state.range(0));
   const size_t group_count = n / 40;
   const size_t group_size = 10;
   Rng rng(5);
-  std::vector<double> m(n * n, 0.0);
+  std::vector<double> table(group_count * n);
   for (size_t i = 0; i < n; ++i) {
     for (size_t g = 0; g < group_count; ++g) {
-      const double p = rng.NextDouble();
-      for (size_t j = 0; j < group_size; ++j) {
-        m[i * n + g * group_size + j] = p;
-      }
+      table[g * n + i] = rng.NextDouble();
     }
   }
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        SolveLsapExact(n, DenseProfit(n, &m), group_count, group_size));
+        SolveLsapExact(n, table, group_count, group_size));
   }
 }
 BENCHMARK(BM_LsapExact)->Arg(200)->Arg(400)->Arg(800);

@@ -1,8 +1,8 @@
 #include "assign/hta_solver.h"
 
 #include <algorithm>
-#include <span>
 #include <utility>
+#include <vector>
 
 #include "assign/auditor.h"
 #include "matching/lsap.h"
@@ -20,61 +20,44 @@ namespace {
 /// (Algorithm 1, Line 10), tabulated once per solve. Both degA_l and
 /// c_{k,l} depend on the column l only through the worker clique
 /// q = l / Xmax, so one n x |W| table replaces per-probe Relevance()
-/// evaluation; it is worker-major, so the exact LSAP scans worker q's
-/// profits as one contiguous column, and the greedy LSAP reads it
-/// through operator(). The c part comes from one batched rectangular
-/// relevance sweep; entries use exactly the arithmetic of
-/// QapView::C / DegA, so profits are bit-identical to evaluating the
-/// view entry by entry.
-class TabulatedAuxiliaryProfit {
- public:
-  TabulatedAuxiliaryProfit(const QapView& view, const std::vector<double>& bm,
-                           size_t max_threads)
-      : xmax_(view.problem().xmax()),
-        n_(view.n()),
-        worker_count_(view.problem().worker_count()) {
-    std::vector<double> deg_a(worker_count_);
-    for (size_t q = 0; q < worker_count_; ++q) {
-      deg_a[q] = view.DegA(q * xmax_);
-    }
-    // c_{k, q*xmax} = beta_q * rel(k, q) * (xmax - 1), with the same
-    // left-to-right multiplication chain as QapView::C; padding rows
-    // have c = 0.
-    const HtaProblem& problem = view.problem();
-    const size_t task_count = view.task_count();
-    std::vector<double> rel;
-    problem.FillRelevanceTable(&rel, max_threads);
-    const double norm = static_cast<double>(xmax_) - 1.0;
-    profit_.resize(worker_count_ * n_);
-    ParallelFor(
-        0, n_, /*grain=*/64,
-        [&](size_t k) {
-          for (size_t q = 0; q < worker_count_; ++q) {
-            const double c = k < task_count
-                                 ? problem.workers()[q].weights().beta *
-                                       rel[k * worker_count_ + q] * norm
-                                 : 0.0;
-            profit_[q * n_ + k] = bm[k] * deg_a[q] + c;
-          }
-        },
-        max_threads);
+/// evaluation: f_{k, q*Xmax} at [q * n + k], the group-major layout
+/// both LSAP solvers read (matching/lsap.h). The c part comes from one
+/// batched rectangular relevance sweep; entries use exactly the
+/// arithmetic of QapView::C / DegA, so profits are bit-identical to
+/// evaluating the view entry by entry.
+std::vector<double> TabulatedAuxiliaryProfit(const QapView& view,
+                                             const std::vector<double>& bm,
+                                             size_t max_threads) {
+  const HtaProblem& problem = view.problem();
+  const size_t xmax = problem.xmax();
+  const size_t n = view.n();
+  const size_t worker_count = problem.worker_count();
+  std::vector<double> deg_a(worker_count);
+  for (size_t q = 0; q < worker_count; ++q) {
+    deg_a[q] = view.DegA(q * xmax);
   }
-
-  double operator()(size_t k, size_t l) const {
-    const size_t q = l / xmax_;
-    if (q >= worker_count_) return 0.0;  // Isolated column: degA = c = 0.
-    return profit_[q * n_ + k];
-  }
-
-  /// f_{k, q*Xmax} at [q * n + k].
-  std::span<const double> worker_major() const { return profit_; }
-
- private:
-  std::vector<double> profit_;
-  size_t xmax_;
-  size_t n_;
-  size_t worker_count_;
-};
+  // c_{k, q*xmax} = beta_q * rel(k, q) * (xmax - 1), with the same
+  // left-to-right multiplication chain as QapView::C; padding rows have
+  // c = 0.
+  const size_t task_count = view.task_count();
+  std::vector<double> rel;
+  problem.FillRelevanceTable(&rel, max_threads);
+  const double norm = static_cast<double>(xmax) - 1.0;
+  std::vector<double> profit(worker_count * n);
+  ParallelFor(
+      0, n, /*grain=*/64,
+      [&](size_t k) {
+        for (size_t q = 0; q < worker_count; ++q) {
+          const double c = k < task_count
+                               ? problem.workers()[q].weights().beta *
+                                     rel[k * worker_count + q] * norm
+                               : 0.0;
+          profit[q * n + k] = bm[k] * deg_a[q] + c;
+        }
+      },
+      max_threads);
+  return profit;
+}
 
 /// Fixed linear bounds over (0, 1] for the per-solve certified ratio:
 /// 0.05, 0.10, ..., 1.00.
@@ -214,13 +197,13 @@ Result<HtaSolveResult> SolveHta(const HtaProblem& problem,
   LsapSolution lsap;
   {
     trace::PhaseSpan lsap_span("solver.lsap", &lsap_latency);
-    const TabulatedAuxiliaryProfit profit(view, bm, options.threads);
+    const std::vector<double> profit =
+        TabulatedAuxiliaryProfit(view, bm, options.threads);
     // Worker q's Xmax columns share one profit per task.
     switch (options.lsap) {
       case LsapMethod::kExactJv:
-        lsap = SolveLsapExactGroupMajor(n, profit.worker_major(),
-                                        problem.worker_count(),
-                                        problem.xmax());
+        lsap = SolveLsapExact(n, profit, problem.worker_count(),
+                              problem.xmax());
         break;
       case LsapMethod::kGreedy:
         lsap = SolveLsapGreedy(n, profit, problem.worker_count(),
@@ -230,9 +213,10 @@ Result<HtaSolveResult> SolveHta(const HtaProblem& problem,
   }
   stats.lsap_seconds = phase_timer.ElapsedSeconds();
 
-  // Optimality certificate (Theorem 4 / Eq. 18): the HTA optimum is at
-  // most twice the optimal auxiliary-LSAP profit; a greedy LSAP profit
-  // is within a factor 2 of that optimum.
+  // Optimality certificate (Theorem 4 / Eq. 18): the MAXQAP optimum,
+  // and with it the HTA optimum, is at most twice the optimal
+  // auxiliary-LSAP profit; a greedy LSAP profit is within a factor 2 of
+  // that optimum.
   const double bound_factor =
       options.lsap == LsapMethod::kGreedy ? 4.0 : 2.0;
   stats.optimum_upper_bound = bound_factor * lsap.profit;
@@ -272,11 +256,10 @@ Result<HtaSolveResult> SolveHta(const HtaProblem& problem,
   // Lines 17-18 (Eq. 7): back to per-worker bundles.
   HtaSolveResult result;
   result.assignment = ExtractAssignment(view, perm);
-  stats.qap_objective = view.Objective(perm, options.threads);
+  // The certificate scores what workers receive: Eq. 3 of the bundles.
   stats.motivation = TotalMotivation(problem, result.assignment);
   stats.certified_ratio = stats.optimum_upper_bound > 0.0
-                              ? stats.qap_objective /
-                                    stats.optimum_upper_bound
+                              ? stats.motivation / stats.optimum_upper_bound
                               : 1.0;
   certified_ratio.Observe(stats.certified_ratio);
   stats.total_seconds = total_timer.ElapsedSeconds();
@@ -314,7 +297,6 @@ Result<HtaSolveResult> SolveHtaWarmStart(const HtaProblem& problem,
   HtaSolveResult result;
   result.assignment = std::move(refined.assignment);
   result.stats.motivation = refined.motivation;
-  result.stats.qap_objective = refined.motivation;
   result.stats.warm_repaired_slots = refined.inserts_applied;
   result.stats.total_seconds = total_timer.ElapsedSeconds();
   if (AuditEnabled()) {

@@ -16,7 +16,7 @@ namespace hta {
 
 /// Which LSAP solver runs in the second phase (Algorithm 1/2, Line 11).
 enum class LsapMethod {
-  /// Exact solve: HTA-APP (1/4-approx). SolveLsapExactGroupMajor runs
+  /// Exact solve: HTA-APP (1/4-approx). SolveLsapExact runs
   /// the LSAP as a |T| x |W| transportation problem; the paper pays a
   /// square Hungarian solve for the same optimum. The name predates
   /// that solver; it stays until perfbench/offline.cc, which names it,
@@ -44,7 +44,7 @@ struct HtaSolverOptions {
   /// util/parallel.h): 0 uses the full pool (HTA_THREADS), 1 forces
   /// serial execution. The parallel phases partition work
   /// deterministically, so every value produces bit-identical
-  /// assignments, objectives, and certified ratios.
+  /// assignments, motivations, and certified ratios.
   size_t threads = 0;
 };
 
@@ -54,7 +54,6 @@ struct HtaSolveStats {
   double matching_seconds = 0.0;  ///< Building M_B (Line 2).
   double lsap_seconds = 0.0;      ///< Auxiliary LSAP (Lines 3-11).
   double total_seconds = 0.0;     ///< Whole solve, including extraction.
-  double qap_objective = 0.0;     ///< Eq. 8 value of the final permutation.
   double motivation = 0.0;        ///< Eq. 3 objective of the assignment.
   size_t matched_pairs = 0;       ///< |M_B|.
   /// A certified upper bound on the instance's optimum, from the
@@ -62,10 +61,15 @@ struct HtaSolveStats {
   /// greedy LSAP profit is within 1/2 of optimal, so
   ///   OPT <= 2 * lsap_profit   (exact solvers)
   ///   OPT <= 4 * lsap_profit   (greedy solver).
+  /// Theorem 4 bounds the MAXQAP (Eq. 8) optimum, which is at least the
+  /// Eq. 3 optimum: any feasible assignment fits inside a permutation
+  /// whose Eq. 8 value is at least its Eq. 3 value (d >= 0, rel >= 0,
+  /// |T'| - 1 <= Xmax - 1).
   double optimum_upper_bound = 0.0;
-  /// qap_objective / optimum_upper_bound — a per-instance *certificate*
-  /// that this solve achieved at least this fraction of the true
-  /// optimum (typically far above the worst-case 1/4 and 1/8 factors).
+  /// motivation / optimum_upper_bound (1 when the bound is 0) — a
+  /// per-instance *certificate* that the bundles workers receive score
+  /// at least this fraction of the true optimum (typically far above
+  /// the worst-case 1/4 and 1/8 factors).
   double certified_ratio = 0.0;
   /// Warm-start diagnostic (zero for the matching+LSAP solvers): bundle
   /// holes patched from the unassigned pool.

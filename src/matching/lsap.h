@@ -16,18 +16,17 @@
 namespace hta {
 
 /// Linear Sum Assignment Problem solvers (maximization): given an
-/// n x n profit function, find a permutation pi maximizing
-/// sum_i profit(i, pi(i)).
+/// n x n profit, find a permutation pi maximizing sum_i profit(i, pi(i)).
 ///
-/// Both solvers take the profit grouped by column: columns
-/// [0, group_count * group_size) form `group_count` groups of
-/// `group_size` consecutive columns that share one profit per
-/// (row, group), read at the group's first column; every other column
+/// Both solvers take the profit grouped by column, as one group-major
+/// table: columns [0, group_count * group_size) form `group_count`
+/// groups of `group_size` consecutive columns that share one profit per
+/// (row, group), stored at group_major[g * n + i]; every other column
 /// has zero profit; group_count * group_size <= n; profits are finite
 /// and >= 0. HTA's auxiliary profit f_{k,l} = bM(t_k) * degA_l + c_{k,l}
 /// (Algorithm 1, Line 10) depends on the column l only through the
-/// worker q = l / Xmax, so HTA passes (|W|, Xmax); an unstructured
-/// matrix passes (n, 1).
+/// worker q = l / Xmax, so HTA passes its n x |W| table with
+/// (|W|, Xmax); an unstructured matrix passes its transpose with (n, 1).
 ///  * SolveLsapExact  — the optimum, as an n x group_count
 ///                      transportation problem solved by successive
 ///                      shortest paths; the HTA-APP phase (the paper
@@ -36,26 +35,20 @@ namespace hta {
 ///                      bipartite LSAP graph: 1/2-approximation,
 ///                      O(n * group_count) with a radix order; the
 ///                      HTA-GRE phase.
-///
-/// Solvers are templates over the profit functor so that HTA can read
-/// its tabulated profits without materializing an n x n matrix; the
-/// exact solver also takes HTA's group-major table as it is
-/// (SolveLsapExactGroupMajor).
 
 namespace lsap_internal {
 
 inline LsapSolution FinishSolution(std::vector<int32_t> row_to_col, size_t n,
                                    double profit) {
+  std::vector<bool> col_used(n, false);
+  for (size_t i = 0; i < n; ++i) {
+    HTA_CHECK_GE(row_to_col[i], 0);
+    const size_t col = static_cast<size_t>(row_to_col[i]);
+    HTA_CHECK(col < n && !col_used[col]) << "row_to_col is not a permutation";
+    col_used[col] = true;
+  }
   LsapSolution s;
   s.row_to_col = std::move(row_to_col);
-  s.col_to_row.assign(n, -1);
-  for (size_t i = 0; i < n; ++i) {
-    HTA_CHECK_GE(s.row_to_col[i], 0);
-    HTA_CHECK(s.col_to_row[static_cast<size_t>(s.row_to_col[i])] == -1)
-        << "row_to_col is not a permutation";
-    s.col_to_row[static_cast<size_t>(s.row_to_col[i])] =
-        static_cast<int32_t>(i);
-  }
   s.profit = profit;
   return s;
 }
@@ -66,20 +59,21 @@ inline LsapSolution FinishSolution(std::vector<int32_t> row_to_col, size_t n,
 /// complete bipartite LSAP graph, 1/2-approximation, under the grouped
 /// contract above.
 ///
-/// Positive (row, group) pairs, read at the group's first column, are
-/// taken in (float(profit) desc, row asc, group asc) order; a pair is
-/// accepted while its row is free and its group has room, and takes
-/// column g * group_size + used_g. The scan stops once every group
-/// column is used; leftover rows take the remaining columns in index
-/// order. Because a group fills its columns in ascending order, this is
+/// Positive (row, group) pairs are taken in (float(profit) desc,
+/// row asc, group asc) order; a pair is accepted while its row is free
+/// and its group has room, and takes column g * group_size + used_g.
+/// The scan stops once every group column is used; leftover rows take
+/// the remaining columns in index order. Because a group fills its columns in ascending order, this is
 /// the column-level greedy over (float(profit) desc, row asc, col asc),
 /// bit for bit (row_to_col and profit summation order). Pairs are emitted
 /// row-major, so a stable RadixOrderByWeight gives the full tie order.
 /// O(n * group_count) time and memory.
-template <typename ProfitFn>
-LsapSolution SolveLsapGreedy(size_t n, const ProfitFn& profit,
-                             size_t group_count, size_t group_size) {
+inline LsapSolution SolveLsapGreedy(size_t n,
+                                    std::span<const double> group_major,
+                                    size_t group_count, size_t group_size) {
   HTA_CHECK_LE(group_count * group_size, n);
+  HTA_CHECK_EQ(group_major.size(), group_count * n);
+  const double* table = group_major.data();
   struct Pair {
     float weight;
     uint32_t row;
@@ -89,7 +83,7 @@ LsapSolution SolveLsapGreedy(size_t n, const ProfitFn& profit,
   pairs.reserve(n * group_count);
   for (size_t i = 0; i < n; ++i) {
     for (size_t g = 0; g < group_count; ++g) {
-      const double p = profit(i, g * group_size);
+      const double p = table[g * n + i];
       HTA_DCHECK_GE(p, 0.0);
       if (p > 0.0) {
         pairs.push_back(Pair{static_cast<float>(p), static_cast<uint32_t>(i),
@@ -113,23 +107,23 @@ LsapSolution SolveLsapGreedy(size_t n, const ProfitFn& profit,
     row_to_col[p.row] = static_cast<int32_t>(col);
     col_used[col] = true;
     --free_group_cols;
-    total += profit(p.row, col);
+    total += table[p.group * n + p.row];
   }
-  // Complete the permanent with zero-profit pairs, in index order.
+  // Complete the permanent with zero-profit pairs, in index order: a
+  // leftover row could not take a group column while it had positive
+  // profit there.
   size_t next_col = 0;
   for (size_t i = 0; i < n; ++i) {
     if (row_to_col[i] != -1) continue;
     while (col_used[next_col]) ++next_col;
     row_to_col[i] = static_cast<int32_t>(next_col);
     col_used[next_col] = true;
-    total += profit(i, next_col);
   }
   return lsap_internal::FinishSolution(std::move(row_to_col), n, total);
 }
 
-/// Exact LSAP under the grouped contract above, read from a group-major
-/// table: group_major[g * n + i] is row i's profit in group g, so a
-/// popped group scans one contiguous column. Solved as the
+/// Exact LSAP under the grouped contract above. The table is
+/// group-major, so a popped group scans one contiguous column. Solved as the
 /// transportation problem it is: each row supplies one unit, group g
 /// takes group_size units, and rows left over take the zero-profit
 /// columns. Successive shortest paths with potentials run one
@@ -146,7 +140,7 @@ LsapSolution SolveLsapGreedy(size_t n, const ProfitFn& profit,
 ///
 /// Group g's rows take columns g * group_size + 0, 1, ... in ascending
 /// row order; the other rows take the remaining columns in index order.
-inline LsapSolution SolveLsapExactGroupMajor(
+inline LsapSolution SolveLsapExact(
     size_t n, std::span<const double> group_major, size_t group_count,
     size_t group_size) {
   HTA_CHECK_LE(group_count * group_size, n);
@@ -238,37 +232,6 @@ inline LsapSolution SolveLsapExactGroupMajor(
   }
   return lsap_internal::FinishSolution(std::move(row_to_col), n, total);
 }
-
-/// SolveLsapExactGroupMajor on a profit functor under the grouped
-/// contract above: tabulates one profit per (row, group), read at the
-/// group's first column, group-major. A caller that already holds such
-/// a table passes it to SolveLsapExactGroupMajor directly.
-template <typename ProfitFn>
-LsapSolution SolveLsapExact(size_t n, const ProfitFn& profit,
-                            size_t group_count, size_t group_size) {
-  HTA_CHECK_LE(group_count * group_size, n);
-  std::vector<double> table(group_count * n);
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t g = 0; g < group_count; ++g) {
-      table[g * n + i] = profit(i, g * group_size);
-    }
-  }
-  return SolveLsapExactGroupMajor(n, table, group_count, group_size);
-}
-
-/// Convenience adapter: dense row-major matrix as a profit functor.
-class DenseProfit {
- public:
-  DenseProfit(size_t n, const std::vector<double>* matrix)
-      : n_(n), matrix_(matrix) {
-    HTA_CHECK_EQ(matrix->size(), n * n);
-  }
-  double operator()(size_t i, size_t j) const { return (*matrix_)[i * n_ + j]; }
-
- private:
-  size_t n_;
-  const std::vector<double>* matrix_;
-};
 
 }  // namespace hta
 

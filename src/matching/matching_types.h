@@ -39,8 +39,6 @@ struct GraphMatching {
 struct LsapSolution {
   /// row_to_col[i] = column assigned to row i (a permutation).
   std::vector<int32_t> row_to_col;
-  /// col_to_row[j] = row assigned to column j (inverse permutation).
-  std::vector<int32_t> col_to_row;
   /// Total profit of the assignment.
   double profit = 0.0;
 };

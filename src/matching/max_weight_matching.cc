@@ -388,51 +388,4 @@ std::vector<WeightedEdge> BuildDiversityEdges(const TaskDistanceOracle& d,
   });
 }
 
-namespace {
-
-void ExactMatchingSearch(const std::vector<WeightedEdge>& edges, size_t next,
-                         std::vector<int32_t>* mate, double weight_so_far,
-                         std::vector<size_t>* chosen, double* best_weight,
-                         std::vector<size_t>* best_chosen) {
-  if (weight_so_far > *best_weight) {
-    *best_weight = weight_so_far;
-    *best_chosen = *chosen;
-  }
-  for (size_t e = next; e < edges.size(); ++e) {
-    const WeightedEdge& edge = edges[e];
-    if (edge.u == edge.v) continue;
-    if ((*mate)[edge.u] != GraphMatching::kUnmatched ||
-        (*mate)[edge.v] != GraphMatching::kUnmatched) {
-      continue;
-    }
-    (*mate)[edge.u] = static_cast<int32_t>(edge.v);
-    (*mate)[edge.v] = static_cast<int32_t>(edge.u);
-    chosen->push_back(e);
-    ExactMatchingSearch(edges, e + 1, mate, weight_so_far + edge.weight,
-                        chosen, best_weight, best_chosen);
-    chosen->pop_back();
-    (*mate)[edge.u] = GraphMatching::kUnmatched;
-    (*mate)[edge.v] = GraphMatching::kUnmatched;
-  }
-}
-
-}  // namespace
-
-GraphMatching ExactMaxWeightMatchingBruteForce(
-    size_t vertex_count, const std::vector<WeightedEdge>& edges) {
-  HTA_CHECK_LE(vertex_count, size_t{12})
-      << "brute-force matching is exponential; use it only on tiny graphs";
-  std::vector<int32_t> mate(vertex_count, GraphMatching::kUnmatched);
-  std::vector<size_t> chosen;
-  std::vector<size_t> best_chosen;
-  double best_weight = 0.0;
-  ExactMatchingSearch(edges, 0, &mate, 0.0, &chosen, &best_weight,
-                      &best_chosen);
-  GraphMatching m = MakeEmptyMatching(vertex_count);
-  for (size_t e : best_chosen) {
-    AddMatchedEdge(&m, edges[e].u, edges[e].v, edges[e].weight);
-  }
-  return m;
-}
-
 }  // namespace hta

@@ -52,12 +52,6 @@ GraphMatching GreedyMaxWeightMatching(size_t vertex_count,
 std::vector<WeightedEdge> BuildDiversityEdges(const TaskDistanceOracle& d,
                                               size_t max_threads = 0);
 
-/// Exact maximum weight matching by exhaustive search. Exponential —
-/// only valid for tiny graphs (vertex_count <= 12); used by property
-/// tests to validate the 1/2-approximation bound of the greedy matching.
-GraphMatching ExactMaxWeightMatchingBruteForce(
-    size_t vertex_count, const std::vector<WeightedEdge>& edges);
-
 }  // namespace hta
 
 #endif  // HTA_MATCHING_MAX_WEIGHT_MATCHING_H_

@@ -1,8 +1,8 @@
 #ifndef HTA_QAP_QAP_VIEW_H_
 #define HTA_QAP_QAP_VIEW_H_
 
+#include <algorithm>
 #include <cstdint>
-#include <vector>
 
 #include "qap/hta_problem.h"
 
@@ -29,13 +29,18 @@ namespace hta {
 /// [task_count, n)) are added with zero diversity to everything and
 /// zero relevance; they never contribute profit and are dropped when a
 /// permutation is converted back to bundles. With padding present the
-/// QAP objective uses the (Xmax - 1) relevance normalizer of Eq. 6 even
-/// though bundles may end up smaller than Xmax, so the Eq. 8 identity
-/// with Eq. 3 motivation holds exactly only for unpadded instances —
-/// see qap_objective.h.
+/// QAP objective (Eq. 8) uses the (Xmax - 1) relevance normalizer of
+/// Eq. 6 even though bundles may end up smaller than Xmax, so it equals
+/// the Eq. 3 motivation of the extracted bundles exactly only when every
+/// bundle is full, and is at least that motivation otherwise. The
+/// solver scores bundles by Eq. 3 (TotalMotivation); Eq. 8 itself is
+/// evaluated only by the dense test reference.
 class QapView {
  public:
-  explicit QapView(const HtaProblem* problem);
+  explicit QapView(const HtaProblem* problem)
+      : problem_(problem),
+        n_(std::max(problem->task_count(),
+                    problem->worker_count() * problem->xmax())) {}
 
   /// Matrix dimension n = max(|T|, |W| * Xmax).
   size_t n() const { return n_; }
@@ -91,17 +96,6 @@ class QapView {
     return problem_->workers()[static_cast<size_t>(q)].weights().alpha *
            (static_cast<double>(problem_->xmax()) - 1.0);
   }
-
-  /// The MAXQAP objective of a permutation pi (task k -> vertex pi(k)):
-  ///   sum_{k != l} a_{pi(k),pi(l)} b_{k,l} + sum_k c_{k,pi(k)}
-  /// Computed per worker clique in O(|W| * Xmax^2 + n). The linear
-  /// term and the per-clique quadratic terms are evaluated as blocked
-  /// parallel reductions on the global pool (`max_threads` caps the
-  /// threads used; 0 = pool size, 1 = serial); block partials combine
-  /// in fixed block order, so the value is bit-identical for any
-  /// thread count.
-  double Objective(const std::vector<int32_t>& perm,
-                   size_t max_threads = 0) const;
 
   const HtaProblem& problem() const { return *problem_; }
 

@@ -1,23 +1,27 @@
 // Tests for the per-instance optimality certificate (Theorem 4 /
 // Eq. 18): solver stats carry an upper bound on the true optimum and a
-// certified achieved-fraction.
+// certified achieved-fraction of the Eq. 3 motivation the extracted
+// bundles score.
 #include <algorithm>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "assign/brute_force.h"
 #include "assign/hta_solver.h"
 #include "matching/lsap.h"
 #include "qap/qap_view.h"
 #include "reference/auxiliary_profit.h"
+#include "reference/brute_force_hta.h"
+#include "reference/dense_profit.h"
 #include "reference/lsap_jv.h"
 #include "util/metrics.h"
 #include "util/rng.h"
 
 namespace hta {
 namespace {
+
+using reference::SolveHtaBruteForce;
 
 struct Fixture {
   std::vector<Task> tasks;
@@ -79,11 +83,109 @@ TEST(CertificateTest, CertifiedRatioIsConservative) {
     auto app = SolveHtaApp(*problem, 2);
     ASSERT_TRUE(app.ok());
     if (best->motivation > 0.0) {
-      const double true_ratio = app->stats.qap_objective / best->motivation;
+      const double true_ratio = app->stats.motivation / best->motivation;
       EXPECT_LE(app->stats.certified_ratio, true_ratio + 1e-9);
     }
     EXPECT_GE(app->stats.certified_ratio, 0.0);
     EXPECT_LE(app->stats.certified_ratio, 1.0 + 1e-9);
+  }
+}
+
+/// Every HTA-APP/HTA-GRE configuration: both LSAPs under all three swap
+/// modes.
+std::vector<HtaSolverOptions> AllSolverOptions(uint64_t seed) {
+  std::vector<HtaSolverOptions> all;
+  for (LsapMethod lsap : {LsapMethod::kExactJv, LsapMethod::kGreedy}) {
+    for (SwapMode swap :
+         {SwapMode::kRandom, SwapMode::kBestOfTwo, SwapMode::kNone}) {
+      HtaSolverOptions options;
+      options.lsap = lsap;
+      options.swap = swap;
+      options.seed = seed;
+      all.push_back(options);
+    }
+  }
+  return all;
+}
+
+/// The certificate is the Eq. 3 motivation of the returned bundles over
+/// the Theorem 4 bound, and it never claims more than the bundles
+/// achieve against the brute-force optimum.
+void ExpectCertifiesBundles(const HtaProblem& problem,
+                            const HtaSolverOptions& options,
+                            double optimum) {
+  SCOPED_TRACE(SolverName(options));
+  auto solved = SolveHta(problem, options);
+  ASSERT_TRUE(solved.ok()) << solved.status();
+  const HtaSolveStats& stats = solved->stats;
+  EXPECT_EQ(stats.motivation, TotalMotivation(problem, solved->assignment));
+  EXPECT_EQ(stats.certified_ratio,
+            stats.optimum_upper_bound > 0.0
+                ? stats.motivation / stats.optimum_upper_bound
+                : 1.0);
+  EXPECT_GE(stats.optimum_upper_bound + 1e-9, optimum);
+  if (optimum > 0.0) {
+    EXPECT_LE(stats.certified_ratio, stats.motivation / optimum + 1e-9)
+        << "motivation " << stats.motivation << " optimum " << optimum
+        << " bound " << stats.optimum_upper_bound;
+  }
+}
+
+TEST(CertificateTest, PaddedSplitInstanceCertifiesBundlesNotPermutation) {
+  // |T| = 2 < |W| * Xmax = 12. Each worker's interests are one task's
+  // keywords, so the LSAP gives each worker its own task (profit 10
+  // against 7.5 for one shared bundle): two
+  // one-task bundles score 0 under Eq. 3, while the permutation's Eq. 8
+  // value still counts both relevance profits at the (Xmax - 1)
+  // normalizer. The optimum puts both tasks in one bundle.
+  std::vector<Task> tasks;
+  tasks.emplace_back(0, KeywordVector(8, {0, 1}));
+  tasks.emplace_back(1, KeywordVector(8, {2, 3}));
+  std::vector<Worker> workers;
+  workers.emplace_back(0, KeywordVector(8, {0, 1}),
+                       MotivationWeights{0.5, 0.5});
+  workers.emplace_back(1, KeywordVector(8, {2, 3}),
+                       MotivationWeights{0.5, 0.5});
+  auto problem = HtaProblem::Create(&tasks, &workers, /*xmax=*/6);
+  ASSERT_TRUE(problem.ok()) << problem.status();
+  auto best = SolveHtaBruteForce(*problem);
+  ASSERT_TRUE(best.ok()) << best.status();
+  ASSERT_GT(best->motivation, 0.0);
+  for (const HtaSolverOptions& options : AllSolverOptions(1)) {
+    auto solved = SolveHta(*problem, options);
+    ASSERT_TRUE(solved.ok()) << solved.status();
+    // The random swap may exchange the two tasks; either way each
+    // worker holds one.
+    ASSERT_EQ(solved->assignment.bundles.size(), 2u);
+    EXPECT_EQ(solved->assignment.bundles[0].size(), 1u) << SolverName(options);
+    EXPECT_EQ(solved->assignment.bundles[1].size(), 1u) << SolverName(options);
+    EXPECT_EQ(solved->stats.motivation, 0.0) << SolverName(options);
+    ExpectCertifiesBundles(*problem, options, best->motivation);
+  }
+}
+
+TEST(CertificateTest, PaddedShapesNeverOverstateAgainstBruteForce) {
+  // |T| < |W| * Xmax throughout, so the solver pads the QAP and bundles
+  // may end up below Xmax.
+  uint64_t seed = 100;
+  for (size_t num_tasks = 2; num_tasks <= 7; ++num_tasks) {
+    for (size_t num_workers = 1; num_workers <= 2; ++num_workers) {
+      for (size_t xmax = 2; xmax <= 7; ++xmax) {
+        if (num_tasks >= num_workers * xmax) continue;
+        ++seed;
+        SCOPED_TRACE(testing::Message()
+                     << "|T|=" << num_tasks << " |W|=" << num_workers
+                     << " xmax=" << xmax << " seed=" << seed);
+        const Fixture f = RandomFixture(num_tasks, num_workers, seed);
+        auto problem = HtaProblem::Create(&f.tasks, &f.workers, xmax);
+        ASSERT_TRUE(problem.ok()) << problem.status();
+        auto best = SolveHtaBruteForce(*problem);
+        ASSERT_TRUE(best.ok()) << best.status();
+        for (const HtaSolverOptions& options : AllSolverOptions(seed)) {
+          ExpectCertifiesBundles(*problem, options, best->motivation);
+        }
+      }
+    }
   }
 }
 
@@ -116,10 +218,8 @@ TEST(CertificateTest, GreedyBoundIsTwiceExactBound) {
   // both must dominate either algorithm's achieved objective.
   EXPECT_LE(gre->stats.optimum_upper_bound,
             2.0 * app->stats.optimum_upper_bound + 1e-9);
-  EXPECT_GE(app->stats.optimum_upper_bound + 1e-9,
-            app->stats.qap_objective);
-  EXPECT_GE(gre->stats.optimum_upper_bound + 1e-9,
-            gre->stats.qap_objective);
+  EXPECT_GE(app->stats.optimum_upper_bound + 1e-9, app->stats.motivation);
+  EXPECT_GE(gre->stats.optimum_upper_bound + 1e-9, gre->stats.motivation);
 }
 
 TEST(CertificateTest, StructuredExactMatchesJvBound) {
@@ -143,7 +243,7 @@ TEST(CertificateTest, StructuredExactMatchesJvBound) {
     const std::vector<double> profit =
         reference::AuxiliaryProfitMatrix(*problem);
     const LsapSolution jv =
-        reference::SolveLsapJv(n, DenseProfit(n, &profit));
+        reference::SolveLsapJv(n, reference::DenseProfit(n, &profit));
     EXPECT_NEAR(app->stats.optimum_upper_bound, 2.0 * jv.profit,
                 1e-9 * std::max(1.0, 2.0 * jv.profit))
         << "|T|=" << shape.tasks << " |W|=" << shape.workers;

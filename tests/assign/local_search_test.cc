@@ -3,12 +3,14 @@
 #include <gtest/gtest.h>
 
 #include "assign/baselines.h"
-#include "assign/brute_force.h"
 #include "assign/hta_solver.h"
+#include "reference/brute_force_hta.h"
 #include "util/rng.h"
 
 namespace hta {
 namespace {
+
+using reference::SolveHtaBruteForce;
 
 struct Fixture {
   std::vector<Task> tasks;

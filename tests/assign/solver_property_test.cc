@@ -13,6 +13,7 @@
 #include "matching/lsap.h"
 #include "qap/qap_view.h"
 #include "reference/auxiliary_profit.h"
+#include "reference/dense_profit.h"
 #include "reference/lsap_jv.h"
 #include "util/rng.h"
 
@@ -123,11 +124,13 @@ TEST_P(SolverSweep, FeasibleDeterministicAndCertified) {
   auto second = SolveHta(*problem, options);
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(first->assignment.bundles, second->assignment.bundles);
-  EXPECT_DOUBLE_EQ(first->stats.qap_objective, second->stats.qap_objective);
+  EXPECT_DOUBLE_EQ(first->stats.motivation, second->stats.motivation);
+  EXPECT_DOUBLE_EQ(first->stats.certified_ratio,
+                   second->stats.certified_ratio);
 
   // Certificate consistency.
   EXPECT_GE(first->stats.optimum_upper_bound + 1e-9,
-            first->stats.qap_objective);
+            first->stats.motivation);
   EXPECT_GE(first->stats.certified_ratio, 0.0);
   EXPECT_LE(first->stats.certified_ratio, 1.0 + 1e-9);
   if (c.lsap == LsapArm::kRect) {
@@ -135,14 +138,19 @@ TEST_P(SolverSweep, FeasibleDeterministicAndCertified) {
     const std::vector<double> profit =
         reference::AuxiliaryProfitMatrix(*problem);
     const double jv =
-        reference::SolveLsapJv(n, DenseProfit(n, &profit)).profit;
+        reference::SolveLsapJv(n, reference::DenseProfit(n, &profit)).profit;
     EXPECT_NEAR(first->stats.optimum_upper_bound, 2.0 * jv,
                 1e-9 * std::max(1.0, 2.0 * jv));
   }
 
-  // Objective bookkeeping: motivation <= QAP value of the permutation
-  // (equal when every bundle is full and no padding exists).
-  EXPECT_LE(first->stats.motivation, first->stats.qap_objective + 1e-9);
+  // Objective bookkeeping: the certificate scores the Eq. 3 motivation
+  // of the returned bundles.
+  EXPECT_EQ(first->stats.motivation,
+            TotalMotivation(*problem, first->assignment));
+  EXPECT_EQ(first->stats.certified_ratio,
+            first->stats.optimum_upper_bound > 0.0
+                ? first->stats.motivation / first->stats.optimum_upper_bound
+                : 1.0);
   EXPECT_GE(first->stats.motivation, 0.0);
 
   // Stats sanity.

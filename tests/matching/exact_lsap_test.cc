@@ -1,4 +1,4 @@
-// Optimality net for the exact LSAP: SolveLsapExact(n, profit,
+// Optimality net for the exact LSAP: SolveLsapExact(n, group_major,
 // group_count, group_size) solves HTA-APP's auxiliary LSAP as a
 // (task, worker) transportation problem, and its optimum must equal the
 // square Jonker-Volgenant reference's (tests/reference/lsap_jv.h) within
@@ -18,6 +18,7 @@
 #include "matching/lsap.h"
 #include "qap/qap_view.h"
 #include "reference/auxiliary_profit.h"
+#include "reference/dense_profit.h"
 #include "reference/lsap_jv.h"
 #include "util/rng.h"
 
@@ -32,9 +33,8 @@ enum class Profile { kRandom, kIntegerTies, kSparse };
 /// greedy <= exact <= 2 * greedy.
 void ExpectExactOptimum(size_t n, const std::vector<double>& matrix,
                         size_t group_count, size_t group_size) {
-  const DenseProfit profit(n, &matrix);
   const LsapSolution exact =
-      SolveLsapExact(n, profit, group_count, group_size);
+      reference::SolveLsapExactDense(n, matrix, group_count, group_size);
   ASSERT_EQ(exact.row_to_col.size(), n);
   std::vector<bool> seen(n, false);
   std::vector<size_t> rows_per_group(group_count, 0);
@@ -52,11 +52,12 @@ void ExpectExactOptimum(size_t n, const std::vector<double>& matrix,
   }
   EXPECT_EQ(exact.profit, recomputed);
 
-  const LsapSolution jv = reference::SolveLsapJv(n, profit);
+  const LsapSolution jv =
+      reference::SolveLsapJv(n, reference::DenseProfit(n, &matrix));
   EXPECT_NEAR(exact.profit, jv.profit, 1e-9 * std::max(1.0, jv.profit));
 
   const LsapSolution greedy =
-      SolveLsapGreedy(n, profit, group_count, group_size);
+      reference::SolveLsapGreedyDense(n, matrix, group_count, group_size);
   EXPECT_LE(greedy.profit, exact.profit * (1.0 + 1e-12));
   EXPECT_LE(exact.profit, 2.0 * greedy.profit * (1.0 + 1e-12));
 }
@@ -116,7 +117,7 @@ TEST(ExactLsapTest, AllZeroInstanceGivesIdentity) {
   for (const size_t padding : {size_t{0}, size_t{3}}) {
     const size_t n = 4 * 3 + padding;
     const std::vector<double> zeros(n * n, 0.0);
-    const LsapSolution s = SolveLsapExact(n, DenseProfit(n, &zeros), 4, 3);
+    const LsapSolution s = reference::SolveLsapExactDense(n, zeros, 4, 3);
     std::vector<int32_t> identity(n);
     for (size_t i = 0; i < n; ++i) identity[i] = static_cast<int32_t>(i);
     EXPECT_EQ(s.row_to_col, identity);
@@ -195,8 +196,8 @@ TEST(ExactLsapTest, HtaAuxiliaryProfitsMatchJvReference) {
         // SolveHta's exact arm reads the same profits: with no swap
         // pass, its bundles come from this permutation and its bound is
         // twice this optimum, bit for bit.
-        const LsapSolution exact =
-            SolveLsapExact(n, DenseProfit(n, &matrix), shape.workers, xmax);
+        const LsapSolution exact = reference::SolveLsapExactDense(
+            n, matrix, shape.workers, xmax);
         HtaSolverOptions options;
         options.lsap = LsapMethod::kExactJv;
         options.swap = SwapMode::kNone;

@@ -1,7 +1,7 @@
 // Equivalence net for the capacity-aware greedy LSAP: on HTA auxiliary
-// profits and on synthetic grouped matrices, SolveLsapGreedy(n, profit,
-// group_count, group_size) must reproduce the column-level greedy it
-// replaced — every (row, column) entry with positive profit, sorted by
+// profits and on synthetic grouped matrices, SolveLsapGreedy(n,
+// group_major, group_count, group_size) must reproduce the column-level
+// greedy it replaced — every (row, column) entry with positive profit, sorted by
 // (float weight desc, row asc, col asc), accepted while both ends are
 // free (tests/reference/column_greedy_lsap.h) — in row_to_col and in
 // the bits of the summed profit.
@@ -18,12 +18,15 @@
 #include "qap/qap_view.h"
 #include "reference/auxiliary_profit.h"
 #include "reference/column_greedy_lsap.h"
+#include "reference/dense_profit.h"
 #include "util/rng.h"
 
 namespace hta {
 namespace {
 
 using reference::ColumnGreedyLsap;
+using reference::DenseProfit;
+using reference::SolveLsapGreedyDense;
 
 void ExpectSameSolution(const LsapSolution& grouped,
                         const LsapSolution& expected) {
@@ -105,11 +108,10 @@ TEST(GreedyLsapEquivalenceTest, HtaAuxiliaryProfitsMatchColumnGreedy) {
         const size_t n = view.n();
         const std::vector<double> matrix =
             reference::AuxiliaryProfitMatrix(*problem);
-        const DenseProfit profit(n, &matrix);
-        const LsapSolution expected =
-            ColumnGreedyLsap(n, profit, shape.workers * xmax);
+        const LsapSolution expected = ColumnGreedyLsap(
+            n, DenseProfit(n, &matrix), shape.workers * xmax);
         ExpectSameSolution(
-            SolveLsapGreedy(n, profit, shape.workers, xmax), expected);
+            SolveLsapGreedyDense(n, matrix, shape.workers, xmax), expected);
 
         // SolveHta's greedy arm groups the columns the same way: with
         // no swap pass, its bundles are the reference permutation's.
@@ -146,10 +148,9 @@ TEST(GreedyLsapEquivalenceTest, HeavyTiesAndZeroRowsMatchColumnGreedy) {
                                     << group_size);
     const std::vector<double> m =
         GroupedMatrix(n, group_count, group_size, values);
-    const DenseProfit profit(n, &m);
     ExpectSameSolution(
-        SolveLsapGreedy(n, profit, group_count, group_size),
-        ColumnGreedyLsap(n, profit, group_count * group_size));
+        SolveLsapGreedyDense(n, m, group_count, group_size),
+        ColumnGreedyLsap(n, DenseProfit(n, &m), group_count * group_size));
   }
 }
 
@@ -162,9 +163,8 @@ TEST(GreedyLsapEquivalenceTest, DenseRandomProfitsWithUnitGroups) {
     // A few exact zeros, which neither solver may take greedily.
     for (size_t k = 0; k < n; ++k) m[rng.NextBounded(n * n)] = 0.0;
     SCOPED_TRACE(testing::Message() << "trial " << trial << " n=" << n);
-    const DenseProfit profit(n, &m);
-    ExpectSameSolution(SolveLsapGreedy(n, profit, n, 1),
-                       ColumnGreedyLsap(n, profit, n));
+    ExpectSameSolution(SolveLsapGreedyDense(n, m, n, 1),
+                       ColumnGreedyLsap(n, DenseProfit(n, &m), n));
   }
 }
 

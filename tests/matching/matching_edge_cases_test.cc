@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include "matching/max_weight_matching.h"
+#include "reference/brute_force_matching.h"
 #include "util/rng.h"
 
 namespace hta {
 namespace {
+
+using reference::ExactMaxWeightMatchingBruteForce;
 
 TEST(MatchingEdgeTest, AllZeroWeightsStillMatchValidly) {
   std::vector<WeightedEdge> edges;

@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include "reference/brute_force_matching.h"
 #include "util/rng.h"
 
 namespace hta {
 namespace {
+
+using reference::ExactMaxWeightMatchingBruteForce;
 
 std::vector<WeightedEdge> RandomEdges(size_t vertices, double density,
                                       Rng* rng) {

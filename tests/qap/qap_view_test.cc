@@ -125,28 +125,6 @@ TEST(QapViewTest, DegAMatchesRowSums) {
   }
 }
 
-TEST(QapViewTest, ImplicitObjectiveEqualsDenseObjective) {
-  Rng rng(7);
-  for (int trial = 0; trial < 10; ++trial) {
-    const Fixture f = RandomFixture(8 + rng.NextBounded(6), 2, 100 + trial);
-    auto problem = HtaProblem::Create(&f.tasks, &f.workers, 3);
-    ASSERT_TRUE(problem.ok());
-    const QapView view(&*problem);
-    const reference::DenseQapMatrices dense =
-        reference::DenseQapMatrices::FromView(view);
-    std::vector<int32_t> perm(view.n());
-    std::iota(perm.begin(), perm.end(), 0);
-    for (int p = 0; p < 5; ++p) {
-      std::vector<int32_t> shuffled = perm;
-      // Deterministic shuffle via Rng.
-      for (size_t i = shuffled.size(); i > 1; --i) {
-        std::swap(shuffled[i - 1], shuffled[rng.NextBounded(i)]);
-      }
-      EXPECT_NEAR(view.Objective(shuffled), dense.Objective(shuffled), 1e-9);
-    }
-  }
-}
-
 // Equation 8: the MAXQAP objective of a permutation equals the HTA
 // motivation (Eq. 3) of the extracted assignment — exactly, when every
 // bundle is full (|T| >= |W| * Xmax ensures extracted bundles have
@@ -177,9 +155,45 @@ TEST(QapViewTest, EquationEightIdentityOnFullInstances) {
     for (const TaskBundle& b : assignment.bundles) {
       ASSERT_EQ(b.size(), xmax);
     }
-    EXPECT_NEAR(view.Objective(perm), TotalMotivation(*problem, assignment),
+    const reference::DenseQapMatrices dense =
+        reference::DenseQapMatrices::FromView(view);
+    EXPECT_NEAR(dense.Objective(perm), TotalMotivation(*problem, assignment),
                 1e-9)
         << "Eq. 8 identity violated at trial " << trial;
+  }
+}
+
+// With padding (|T| < |W| * Xmax) bundles can end up below Xmax, while
+// Eq. 8 keeps the (Xmax - 1) relevance normalizer of Eq. 6; since
+// d >= 0 and rel >= 0, Eq. 8 of any permutation is at least Eq. 3 of
+// its extracted bundles. This is why a bound on the QAP optimum also
+// bounds the HTA optimum.
+TEST(QapViewTest, QapObjectiveUpperBoundsMotivationWithPadding) {
+  Rng rng(10);
+  for (int trial = 0; trial < 20; ++trial) {
+    const size_t workers = 1 + rng.NextBounded(3);
+    const size_t xmax = 2 + rng.NextBounded(4);
+    const size_t tasks = 1 + rng.NextBounded(workers * xmax - 1);
+    const Fixture f = RandomFixture(tasks, workers, 300 + trial);
+    auto problem = HtaProblem::Create(&f.tasks, &f.workers, xmax);
+    ASSERT_TRUE(problem.ok());
+    const QapView view(&*problem);
+    ASSERT_EQ(view.n(), workers * xmax);
+    const reference::DenseQapMatrices dense =
+        reference::DenseQapMatrices::FromView(view);
+
+    std::vector<int32_t> perm(view.n());
+    std::iota(perm.begin(), perm.end(), 0);
+    for (int p = 0; p < 5; ++p) {
+      for (size_t i = perm.size(); i > 1; --i) {
+        std::swap(perm[i - 1], perm[rng.NextBounded(i)]);
+      }
+      const Assignment assignment = ExtractAssignment(view, perm);
+      EXPECT_GE(dense.Objective(perm) + 1e-9,
+                TotalMotivation(*problem, assignment))
+          << "trial " << trial << " |T|=" << tasks << " |W|=" << workers
+          << " xmax=" << xmax;
+    }
   }
 }
 
