@@ -8,6 +8,7 @@
 #include <new>
 #include <optional>
 #include <span>
+#include <utility>
 
 #include "matching/radix_order.h"
 #include "util/check.h"
@@ -17,26 +18,21 @@ namespace hta {
 
 namespace {
 
-/// Rows per shard when building the diversity edge list in parallel.
+/// Rows per block when building the diversity edge list in parallel.
 constexpr size_t kEdgeRowGrain = 16;
 
 /// Largest class table BuildDiversityEdges builds. Past it (many
 /// distinct row popcounts), or past one entry per pair, evaluating the
-/// table costs more than the sort it saves, and the per-block class
-/// histograms grow with it.
+/// table costs more than the sort it saves.
 constexpr size_t kMaxClassTableEntries = size_t{1} << 12;
+
+/// Most weight classes BuildDiversityEdges tables: the class-ordered
+/// build keeps one byte per pair, and class 0 marks a pair that is not
+/// an edge. Past it the float path orders the edges.
+constexpr size_t kMaxWeightClasses = 255;
 
 bool EdgeHeavier(const WeightedEdge& a, const WeightedEdge& b) {
   if (a.weight != b.weight) return a.weight > b.weight;
-  if (a.u != b.u) return a.u < b.u;
-  return a.v < b.v;
-}
-
-/// The greedy's strict order on radix keys. A list sorted by it is one
-/// the radix path leaves exactly as it is.
-bool KeyedBefore(uint32_t key_a, const WeightedEdge& a, uint32_t key_b,
-                 const WeightedEdge& b) {
-  if (key_a != key_b) return key_a < key_b;
   if (a.u != b.u) return a.u < b.u;
   return a.v < b.v;
 }
@@ -67,25 +63,47 @@ size_t TakeIfFree(GraphMatching* m, const WeightedEdge& e) {
   return 2;
 }
 
-/// The greedy scan of a list that is already in the strict order, with
-/// the order check fused in. Returns false, leaving `*m` partly filled,
-/// at the first edge out of order. Once fewer than two vertices are
-/// free no edge can be taken, but the rest is still checked: an edge
-/// out of order there would have been taken earlier.
-bool ScanIfOrdered(std::span<const WeightedEdge> edges, size_t vertex_count,
-                   GraphMatching* m) {
+/// Edges per step of the order check: each step ORs its comparisons
+/// without a branch and tests the result once.
+constexpr size_t kOrderCheckChunk = 256;
+
+/// An edge's endpoints as one value that orders like (u, v).
+uint64_t Endpoints(const WeightedEdge& e) {
+  return uint64_t{e.u} << 32 | e.v;
+}
+
+/// Whether `edges` is in the greedy's strict order: HeavierFirstKey
+/// ascending, then (u, v) ascending. Every edge is checked, also past
+/// the point where the matching is full: an edge out of order there
+/// would have been taken earlier.
+bool InStrictOrder(std::span<const WeightedEdge> edges) {
   if (edges.empty()) return true;
-  size_t free_vertices = vertex_count - TakeIfFree(m, edges[0]);
   uint32_t prev_key = HeavierFirstKey(edges[0].weight);
-  for (size_t k = 1; k < edges.size(); ++k) {
-    const uint32_t key = HeavierFirstKey(edges[k].weight);
-    if (KeyedBefore(key, edges[k], prev_key, edges[k - 1])) return false;
-    prev_key = key;
-    if (free_vertices >= 2) {
-      free_vertices -= TakeIfFree(m, edges[k]);
+  uint64_t prev_ends = Endpoints(edges[0]);
+  for (size_t begin = 1; begin < edges.size(); begin += kOrderCheckChunk) {
+    const size_t end = std::min(edges.size(), begin + kOrderCheckChunk);
+    bool out_of_order = false;
+    for (size_t k = begin; k < end; ++k) {
+      const uint32_t key = HeavierFirstKey(edges[k].weight);
+      const uint64_t ends = Endpoints(edges[k]);
+      out_of_order |=
+          (key < prev_key) | ((key == prev_key) & (ends < prev_ends));
+      prev_key = key;
+      prev_ends = ends;
     }
+    if (out_of_order) return false;
   }
   return true;
+}
+
+/// The greedy scan of a list in the strict order. It stops once fewer
+/// than two vertices are free, since no later edge can be taken.
+void TakeInOrder(std::span<const WeightedEdge> edges, size_t vertex_count,
+                 GraphMatching* m) {
+  size_t free_vertices = vertex_count;
+  for (size_t k = 0; k < edges.size() && free_vertices >= 2; ++k) {
+    free_vertices -= TakeIfFree(m, edges[k]);
+  }
 }
 
 /// Rows [b, e) of an n-row upper triangle hold sum_{i=b}^{e-1} (n-1-i)
@@ -99,20 +117,19 @@ size_t BlockPairs(size_t n, parallel_internal::BlockRange rows) {
 /// pointer: at kernel throughput, the value-initializing memset of
 /// vector::resize and the capacity checks of push_back both cost more
 /// than the distance sweep itself.
-template <typename Edge>
 struct RawShard {
   std::unique_ptr<std::byte[]> bytes;
   size_t count = 0;
 
   void Allocate(size_t capacity) {
-    bytes =
-        std::make_unique_for_overwrite<std::byte[]>(capacity * sizeof(Edge));
+    bytes = std::make_unique_for_overwrite<std::byte[]>(capacity *
+                                                        sizeof(WeightedEdge));
   }
-  void Put(size_t at, const Edge& e) {
-    ::new (bytes.get() + at * sizeof(Edge)) Edge(e);
+  void Put(const WeightedEdge& e) {
+    ::new (bytes.get() + count++ * sizeof(WeightedEdge)) WeightedEdge(e);
   }
-  const Edge* data() const {
-    return reinterpret_cast<const Edge*>(bytes.get());
+  const WeightedEdge* data() const {
+    return reinterpret_cast<const WeightedEdge*>(bytes.get());
   }
 };
 
@@ -125,18 +142,19 @@ struct RawShard {
 struct DistanceClasses {
   size_t count_values = 0;           ///< |C|, the distinct row popcounts.
   std::vector<uint32_t> col_offset;  ///< Per row: idx(count) * (maxc + 1).
-  std::vector<uint32_t> table;       ///< Class of each (ca, cb, inter).
+  std::vector<uint8_t> table;        ///< Class of each (ca, cb, inter).
   std::vector<float> weights;        ///< weights[c]: the weight of class c.
 
   size_t class_count() const { return weights.size() - 1; }
   /// Row i's slice of the table; index it by col_offset[j] + inter.
-  const uint32_t* RowTable(size_t i) const {
+  const uint8_t* RowTable(size_t i) const {
     return table.data() + size_t{col_offset[i]} * count_values;
   }
 };
 
 /// Builds the class table of `m`'s rows, or nothing when it would have
-/// more than kMaxClassTableEntries entries or more entries than `pairs`.
+/// more than kMaxClassTableEntries entries, more entries than `pairs`,
+/// or more than kMaxWeightClasses classes.
 /// Each entry's weight is DistanceFromCounts on the arguments the
 /// per-pair kernel passes, so class weights are the kernel's floats.
 std::optional<DistanceClasses> ClassifyDistances(const PackedSetMatrix& m,
@@ -181,6 +199,7 @@ std::optional<DistanceClasses> ClassifyDistances(const PackedSetMatrix& m,
   });
   std::sort(keys.begin(), keys.end());
   keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  if (keys.size() > kMaxWeightClasses) return std::nullopt;
 
   DistanceClasses classes;
   classes.count_values = counts.size();
@@ -192,7 +211,7 @@ std::optional<DistanceClasses> ClassifyDistances(const PackedSetMatrix& m,
     const size_t cls =
         std::lower_bound(keys.begin(), keys.end(), HeavierFirstKey(w)) -
         keys.begin() + 1;
-    classes.table[e] = static_cast<uint32_t>(cls);
+    classes.table[e] = static_cast<uint8_t>(cls);
     classes.weights[cls] = w;
   }
   classes.col_offset.resize(n);
@@ -203,84 +222,87 @@ std::optional<DistanceClasses> ClassifyDistances(const PackedSetMatrix& m,
   return classes;
 }
 
-/// A swept pair before its class is turned into a weight.
-struct ClassedEdge {
-  VertexId u;
-  VertexId v;
-  uint32_t cls;
-};
-
-/// The class-ordered build. Each fixed block of rows sweeps its pairs
-/// once, writing (i, j, class) row-major into a raw shard and counting
-/// a class histogram; then, while the shard is still in cache, a
-/// counting scatter orders it by class and writes the real weights.
-/// The blocks concatenate class-major, block-minor, so within a class
-/// edges stay in (u asc, v asc) order at any thread count.
+/// The class-ordered build, in three passes over fixed blocks of
+/// rows. The sweep pass (parallel) runs the popcount kernel over each
+/// block's pairs, writes one class byte per pair row-major and counts
+/// the block's class histogram. A serial prefix sum over (class, block)
+/// then places every block in every class segment of the class-major,
+/// block-minor list, which is sized once. The write pass (parallel)
+/// re-reads each block's bytes, writes its edges straight to their
+/// places with the class weights, and frees the bytes. Row-major sweeps
+/// keep each class in (u asc, v asc) order at any thread count, and
+/// peak memory is the list plus one byte per pair.
 std::vector<WeightedEdge> BuildClassOrderedEdges(
     const PackedSetMatrix& packed, const DistanceClasses& classes,
     size_t max_threads) {
   const size_t n = packed.rows();
   const size_t num_blocks = parallel_internal::BlockCount(0, n, kEdgeRowGrain);
-  const size_t num_classes = classes.class_count();
-  std::vector<RawShard<WeightedEdge>> shards(num_blocks);
-  // histograms[block][c]: the block's edges of class c (c = 0 counts
-  // the pairs that are not edges).
-  std::vector<std::vector<size_t>> histograms(num_blocks);
+  const size_t stride = classes.class_count() + 1;
+  std::vector<std::unique_ptr<uint8_t[]>> pair_classes(num_blocks);
+  // slots[block * stride + c]: the block's count of class-c pairs after
+  // the sweep pass, then the list index of its first class-c edge.
+  std::vector<size_t> slots(num_blocks * stride);
   ParallelFor(
       0, num_blocks, /*grain=*/1,
       [&](size_t block) {
         const parallel_internal::BlockRange rows =
             parallel_internal::BlockAt(0, n, kEdgeRowGrain, block);
-        RawShard<ClassedEdge> raw;
-        raw.Allocate(BlockPairs(n, rows));
-        std::vector<size_t>& histogram = histograms[block];
-        histogram.assign(num_classes + 1, 0);
+        pair_classes[block] =
+            std::make_unique_for_overwrite<uint8_t[]>(BlockPairs(n, rows));
+        uint8_t* out = pair_classes[block].get();
+        size_t histogram[kMaxWeightClasses + 1] = {};
         const size_t nb = packed.row_blocks();
         uint32_t inter[packed_internal::kCountTile];
         for (size_t i = rows.begin; i < rows.end; ++i) {
-          const uint32_t* row_table = classes.RowTable(i);
+          const uint8_t* row_table = classes.RowTable(i);
           for (size_t j0 = i + 1; j0 < n; j0 += packed_internal::kCountTile) {
             const size_t len = std::min(packed_internal::kCountTile, n - j0);
             packed_internal::IntersectRowCounts(packed.row(i), packed.row(j0),
                                                 nb, len, inter);
             const uint32_t* col_offset = classes.col_offset.data() + j0;
             for (size_t r = 0; r < len; ++r) {
-              const uint32_t cls = row_table[col_offset[r] + inter[r]];
+              const uint8_t cls = row_table[col_offset[r] + inter[r]];
               ++histogram[cls];
-              if (cls != 0) {
-                raw.Put(raw.count++,
-                        ClassedEdge{static_cast<VertexId>(i),
-                                    static_cast<VertexId>(j0 + r), cls});
-              }
+              *out++ = cls;
             }
           }
         }
-        std::vector<size_t> next(num_classes + 1, 0);
-        for (size_t c = 1, offset = 0; c <= num_classes; ++c) {
-          next[c] = offset;
-          offset += histogram[c];
-        }
-        RawShard<WeightedEdge>& shard = shards[block];
-        shard.Allocate(raw.count);
-        shard.count = raw.count;
-        for (const ClassedEdge& e : std::span(raw.data(), raw.count)) {
-          shard.Put(next[e.cls]++,
-                    WeightedEdge{e.u, e.v, classes.weights[e.cls]});
-        }
+        std::copy(histogram, histogram + stride, &slots[block * stride]);
       },
       max_threads);
   size_t total = 0;
-  for (const auto& shard : shards) total += shard.count;
-  std::vector<WeightedEdge> edges;
-  edges.reserve(total);
-  std::vector<size_t> cursor(num_blocks, 0);
-  for (size_t c = 1; c <= num_classes; ++c) {
+  for (size_t c = 1; c < stride; ++c) {
     for (size_t block = 0; block < num_blocks; ++block) {
-      const WeightedEdge* segment = shards[block].data() + cursor[block];
-      edges.insert(edges.end(), segment, segment + histograms[block][c]);
-      cursor[block] += histograms[block][c];
+      total += std::exchange(slots[block * stride + c], total);
     }
   }
+  std::vector<WeightedEdge> edges(total);
+  ParallelFor(
+      0, num_blocks, /*grain=*/1,
+      [&](size_t block) {
+        const parallel_internal::BlockRange rows =
+            parallel_internal::BlockAt(0, n, kEdgeRowGrain, block);
+        // next[c]: where the block's next class-c edge goes. Pairs of
+        // class 0 are written to `discard`, which never advances, so
+        // the loop has no branch on the class.
+        WeightedEdge discard{};
+        WeightedEdge* next[kMaxWeightClasses + 1];
+        next[0] = &discard;
+        for (size_t c = 1; c < stride; ++c) {
+          next[c] = edges.data() + slots[block * stride + c];
+        }
+        const uint8_t* cls = pair_classes[block].get();
+        for (size_t i = rows.begin; i < rows.end; ++i) {
+          for (size_t j = i + 1; j < n; ++j, ++cls) {
+            *next[*cls] = WeightedEdge{static_cast<VertexId>(i),
+                                       static_cast<VertexId>(j),
+                                       classes.weights[*cls]};
+            next[*cls] += *cls != 0;
+          }
+        }
+        pair_classes[block].reset();
+      },
+      max_threads);
   return edges;
 }
 
@@ -292,18 +314,17 @@ template <typename EmitRow>
 std::vector<WeightedEdge> BuildWeightOrderedEdges(size_t n, size_t max_threads,
                                                   const EmitRow& emit_row) {
   const size_t num_blocks = parallel_internal::BlockCount(0, n, kEdgeRowGrain);
-  std::vector<RawShard<WeightedEdge>> shards(num_blocks);
+  std::vector<RawShard> shards(num_blocks);
   ParallelFor(
       0, num_blocks, /*grain=*/1,
       [&](size_t block) {
         const parallel_internal::BlockRange rows =
             parallel_internal::BlockAt(0, n, kEdgeRowGrain, block);
-        RawShard<WeightedEdge>& shard = shards[block];
+        RawShard& shard = shards[block];
         shard.Allocate(BlockPairs(n, rows));
         for (size_t i = rows.begin; i < rows.end; ++i) {
           emit_row(i, [&](size_t j, float w) {
-            shard.Put(shard.count++,
-                      WeightedEdge{static_cast<VertexId>(i),
+            shard.Put(WeightedEdge{static_cast<VertexId>(i),
                                    static_cast<VertexId>(j), w});
           });
         }
@@ -331,8 +352,10 @@ GraphMatching GreedyMaxWeightMatching(size_t vertex_count,
                                       std::vector<WeightedEdge> edges,
                                       size_t /*max_threads*/) {
   GraphMatching m = MakeEmptyMatching(vertex_count);
-  if (ScanIfOrdered(edges, vertex_count, &m)) return m;
-  m = MakeEmptyMatching(vertex_count);
+  if (InStrictOrder(edges)) {
+    TakeInOrder(edges, vertex_count, &m);
+    return m;
+  }
   const size_t n = edges.size();
   std::unique_ptr<std::byte[]> scratch;
   WeightedEdge* const src =

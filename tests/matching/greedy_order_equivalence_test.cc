@@ -3,11 +3,16 @@
 // stable-sorting the edges by (weight desc, u asc, v asc) and scanning
 // them — on the diversity graphs the solver builds and on arbitrary
 // edge lists (shuffled, tied, signed zeros, self-loops, duplicates,
-// reversed endpoints, wide vertex ids, sizes around 2^15 and 2^16).
+// reversed endpoints, wide vertex ids, sizes around 2^15 and 2^16,
+// inversions around every power-of-two position and at the end). It
+// also pins BuildDiversityEdges' list itself, byte for byte, to a naive
+// all-pairs emission sorted into that order.
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -15,6 +20,7 @@
 
 #include "core/catalog_cache.h"
 #include "core/distance_oracle.h"
+#include "core/packed_set.h"
 #include "matching/max_weight_matching.h"
 #include "qap/hta_problem.h"
 #include "util/rng.h"
@@ -33,6 +39,7 @@ const DistanceKind kAllKinds[] = {DistanceKind::kJaccard, DistanceKind::kDice,
                                   DistanceKind::kHamming,
                                   DistanceKind::kCosineAngular};
 const size_t kThreadCaps[] = {0, 1, 2, 4};
+const size_t kBuildThreadCaps[] = {0, 1, 3};
 
 bool ReferenceHeavier(const WeightedEdge& a, const WeightedEdge& b) {
   if (a.weight != b.weight) return a.weight > b.weight;
@@ -127,6 +134,152 @@ TEST(GreedyOrderEquivalenceTest, DiversityGraphsOfEveryOracleMode) {
                                                /*allow_non_metric=*/true);
     ASSERT_TRUE(subset.ok()) << subset.status();
     ExpectDiversityGraphMatches(subset->oracle(), name + " subset");
+  }
+}
+
+// Every pair i < j of positive weight, in the greedy's strict order.
+std::vector<WeightedEdge> NaiveSortedEdges(const TaskDistanceOracle& oracle) {
+  const size_t n = oracle.task_count();
+  std::vector<WeightedEdge> edges;
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = i + 1; j < n; ++j) {
+      const float w = static_cast<float>(
+          oracle(static_cast<TaskIndex>(i), static_cast<TaskIndex>(j)));
+      if (w > 0.0f) {
+        edges.push_back(WeightedEdge{static_cast<VertexId>(i),
+                                     static_cast<VertexId>(j), w});
+      }
+    }
+  }
+  std::sort(edges.begin(), edges.end(), ReferenceHeavier);
+  return edges;
+}
+
+void ExpectBuildMatchesNaive(const TaskDistanceOracle& oracle,
+                             const std::string& label) {
+  const std::vector<WeightedEdge> want = NaiveSortedEdges(oracle);
+  for (const size_t cap : kBuildThreadCaps) {
+    const std::vector<WeightedEdge> got = BuildDiversityEdges(oracle, cap);
+    const std::string where = label + " cap " + std::to_string(cap);
+    ASSERT_EQ(got.size(), want.size()) << where;
+    EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                          got.size() * sizeof(WeightedEdge)),
+              0)
+        << where;
+  }
+}
+
+// Tasks whose keyword counts are 0 or 3 of 12: the class table has
+// 2 x 2 x 4 entries, so every n >= 7 takes the class-ordered build,
+// and the empty rows make pairs of weight 0 (class 0) for every kind.
+std::vector<Task> FewCountTasks(size_t count, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Task> tasks;
+  for (size_t i = 0; i < count; ++i) {
+    KeywordVector v(12);
+    if (!rng.NextBool(0.2)) {
+      std::vector<KeywordId> ids = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11};
+      std::shuffle(ids.begin(), ids.end(), rng);
+      for (size_t b = 0; b < 3; ++b) v.Set(ids[b]);
+    }
+    tasks.emplace_back(i, std::move(v));
+  }
+  return tasks;
+}
+
+TEST(GreedyOrderEquivalenceTest, BuildIsTheSortedAllPairsEmission) {
+  for (const DistanceKind kind : kAllKinds) {
+    for (const size_t n : {size_t{2}, size_t{3}, size_t{15}, size_t{16},
+                           size_t{17}, size_t{33}, size_t{300}}) {
+      const std::string label =
+          std::string(DistanceKindName(kind)) + " n " + std::to_string(n);
+      const std::vector<Task> few = FewCountTasks(n, 40 + n);
+      ExpectBuildMatchesNaive(TaskDistanceOracle(&few, kind),
+                              label + " few counts");
+      // Up to 5 of 40 keywords, and every fourth task empty.
+      std::vector<Task> mixed = RandomTasks(n, 50 + n);
+      for (size_t i = 0; i < n; i += 4) {
+        mixed[i] = Task(mixed[i].id(), KeywordVector(40));
+      }
+      ExpectBuildMatchesNaive(TaskDistanceOracle(&mixed, kind),
+                              label + " mixed");
+    }
+  }
+}
+
+TEST(GreedyOrderEquivalenceTest, BuildAtTheByteClassLimit) {
+  // Every task holds exactly `count` of 600 keywords. Under Hamming the
+  // table's positive weights are (2 count - 2 inter) / 600 for
+  // inter < count: `count` classes. 255 still fit the one byte per pair
+  // of the class-ordered build; 256 take the float path.
+  constexpr size_t kUniverse = 600;
+  for (const size_t count : {size_t{255}, size_t{256}}) {
+    std::set<float> weights;
+    for (size_t inter = 0; inter <= count; ++inter) {
+      const float w = static_cast<float>(
+          packed_internal::DistanceFromCounts<DistanceKind::kHamming>(
+              inter, count, count, kUniverse));
+      if (w > 0.0f) weights.insert(w);
+    }
+    ASSERT_EQ(weights.size(), count);
+
+    Rng rng(60 + count);
+    std::vector<KeywordId> ids(kUniverse);
+    for (size_t k = 0; k < kUniverse; ++k) ids[k] = static_cast<KeywordId>(k);
+    std::vector<Task> tasks;
+    for (size_t i = 0; i < 40; ++i) {
+      std::shuffle(ids.begin(), ids.end(), rng);
+      tasks.emplace_back(
+          i, KeywordVector(kUniverse, std::vector<KeywordId>(
+                                          ids.begin(), ids.begin() + count)));
+    }
+    // Two identical rows: a pair of class 0. Row 9 becomes the last row
+    // with one keyword swapped: a pair of the lightest class, which at
+    // 255 classes is the largest a byte holds.
+    tasks[7] = Task(tasks[7].id(), tasks[3].keywords());
+    std::vector<KeywordId> near(ids.begin(), ids.begin() + count);
+    near.back() = ids[count];
+    tasks[9] = Task(tasks[9].id(), KeywordVector(kUniverse, near));
+    ExpectBuildMatchesNaive(TaskDistanceOracle(&tasks, DistanceKind::kHamming),
+                            std::to_string(count) + " classes");
+  }
+}
+
+// `length` disjoint edges (2k, 2k + 1) of strictly falling weight,
+// except at positions at - 1 and at: there edge (a, c) comes before the
+// heavier edge (a, b) that shares its vertex a. The greedy's order
+// takes (a, b); a scan that missed the inversion would take (a, c).
+std::vector<WeightedEdge> InvertedAt(size_t length, size_t at) {
+  std::vector<WeightedEdge> edges;
+  for (size_t k = 0; k < length; ++k) {
+    edges.push_back(WeightedEdge{
+        static_cast<VertexId>(2 * k), static_cast<VertexId>(2 * k + 1),
+        static_cast<float>(length - k) / static_cast<float>(length)});
+  }
+  const VertexId a = static_cast<VertexId>(2 * length);
+  const VertexId b = edges[at - 1].u;
+  const float heavier = edges[at - 1].weight;
+  edges[at - 1] = WeightedEdge{a, a + 1, edges[at].weight};
+  edges[at] = WeightedEdge{a, b, heavier};
+  return edges;
+}
+
+TEST(GreedyOrderEquivalenceTest, InversionsAcrossOrderCheckChunks) {
+  // The order check tests its comparisons in chunks from edge 1 on;
+  // positions around every power of two put an inversion inside, at the
+  // start of and straddling a chunk boundary, and the last edge of a
+  // list of any length. The matching never fills, so a scan that missed
+  // the inversion would take the lighter edge.
+  constexpr size_t kLength = 9000;
+  for (size_t power = 2; power <= 8192; power *= 2) {
+    for (const size_t at : {power - 1, power, power + 1}) {
+      ExpectMatchesReference(2 * kLength + 2, InvertedAt(kLength, at),
+                             "inversion at " + std::to_string(at));
+    }
+  }
+  for (const size_t length : {size_t{2}, size_t{257}, size_t{1000}, kLength}) {
+    ExpectMatchesReference(2 * length + 2, InvertedAt(length, length - 1),
+                           "last of " + std::to_string(length));
   }
 }
 
@@ -235,6 +388,10 @@ TEST(GreedyOrderEquivalenceTest, OrderedButForAHeavierLastEdge) {
   // The same, with the extra edge one step ahead of the order.
   edges.back().weight = std::nextafter(edges.front().weight, 2.0f);
   ExpectMatchesReference(tasks.size(), edges, "just heavier last edge");
+  // Four vertices, full after the first two edges.
+  ExpectMatchesReference(
+      4, {{0, 1, 0.9f}, {2, 3, 0.8f}, {0, 3, 0.3f}, {1, 2, 0.95f}},
+      "four vertices");
 }
 
 TEST(GreedyOrderEquivalenceTest, EmptyAndSingleEdge) {
