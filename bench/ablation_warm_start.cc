@@ -25,7 +25,7 @@
 
 #include "assign/assignment.h"
 #include "bench/bench_common.h"
-#include "engine/assignment_service.h"
+#include "engine/sharded_service.h"
 #include "util/table.h"
 #include "util/timer.h"
 
@@ -58,19 +58,19 @@ DriveStats Drive(const hta::Catalog& catalog,
                  const hta::HtaProblem& scoring, bool warm_start,
                  size_t refresh, const DriveConfig& config) {
   using namespace hta;
-  AssignmentServiceOptions options;
-  options.strategy = StrategyKind::kHtaGre;
-  options.xmax = config.xmax;
+  ShardedServiceOptions options;
+  options.service.strategy = StrategyKind::kHtaGre;
+  options.service.xmax = config.xmax;
   // Display exactly the optimized bundle so Displayed() is the object
   // the bench scores.
-  options.extra_random_tasks = 0;
-  options.refresh_after_completions = refresh;
-  options.max_tasks_per_iteration = config.sample_cap;
-  options.seed = config.seed;
-  options.warm_start = warm_start;
+  options.service.extra_random_tasks = 0;
+  options.service.refresh_after_completions = refresh;
+  options.service.max_tasks_per_iteration = config.sample_cap;
+  options.service.seed = config.seed;
+  options.service.warm_start = warm_start;
 
-  AssignmentService service(&catalog.tasks, options);
-  HTA_CHECK_EQ(service.options().warm_start, warm_start);
+  ShardedAssignmentService service(&catalog.tasks, options);
+  HTA_CHECK_EQ(service.shard(0).options().warm_start, warm_start);
 
   std::vector<uint64_t> ids;
   ids.reserve(config.workers);
@@ -100,7 +100,7 @@ DriveStats Drive(const hta::Catalog& catalog,
   }
 
   double solve_sum = 0.0;
-  for (const IterationRecord& record : service.iterations()) {
+  for (const IterationRecord& record : service.shard(0).iterations()) {
     if (record.task_count == 0) continue;  // Cold-start random bundles.
     ++stats.solver_iterations;
     solve_sum += record.solve_seconds;

@@ -6,7 +6,7 @@
 #include <cstdlib>
 #include <iostream>
 
-#include "engine/assignment_service.h"
+#include "engine/sharded_service.h"
 #include "sim/behavior.h"
 #include "sim/catalog.h"
 #include "util/table.h"
@@ -27,13 +27,13 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  AssignmentServiceOptions service_options;
-  service_options.strategy = StrategyKind::kHtaGre;
-  service_options.xmax = 8;
-  service_options.extra_random_tasks = 2;
-  service_options.refresh_after_completions = 4;
-  service_options.max_tasks_per_iteration = 150;
-  AssignmentService service(&catalog->tasks, service_options);
+  ShardedServiceOptions service_options;
+  service_options.service.strategy = StrategyKind::kHtaGre;
+  service_options.service.xmax = 8;
+  service_options.service.extra_random_tasks = 2;
+  service_options.service.refresh_after_completions = 4;
+  service_options.service.max_tasks_per_iteration = 150;
+  ShardedAssignmentService service(&catalog->tasks, service_options);
 
   BehaviorParams params;
   params.alpha_latent = latent_alpha;

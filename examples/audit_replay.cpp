@@ -9,7 +9,7 @@
 #include <cstdio>
 #include <iostream>
 
-#include "engine/assignment_service.h"
+#include "engine/sharded_service.h"
 #include "io/catalog_io.h"
 #include "sim/behavior.h"
 #include "sim/catalog.h"
@@ -29,14 +29,14 @@ int main() {
   }
 
   EventLog log;
-  AssignmentServiceOptions service_options;
-  service_options.strategy = StrategyKind::kHtaGre;
-  service_options.xmax = 8;
-  service_options.extra_random_tasks = 2;
-  service_options.refresh_after_completions = 4;
-  service_options.max_tasks_per_iteration = 200;
-  service_options.event_log = &log;
-  AssignmentService service(&catalog->tasks, service_options);
+  ShardedServiceOptions service_options;
+  service_options.service.strategy = StrategyKind::kHtaGre;
+  service_options.service.xmax = 8;
+  service_options.service.extra_random_tasks = 2;
+  service_options.service.refresh_after_completions = 4;
+  service_options.service.max_tasks_per_iteration = 200;
+  service_options.service.event_log = &log;
+  ShardedAssignmentService service(&catalog->tasks, service_options);
 
   // Three simulated workers complete a few dozen tasks.
   std::vector<Worker> replay_workers;
@@ -51,7 +51,7 @@ int main() {
     const uint64_t id = service.RegisterWorker(interests);
     ids.push_back(id);
     replay_workers.emplace_back(id, interests);
-    double minute = service.clock_minutes();
+    double minute = service.shard_clock_minutes(service.ShardOfWorker(id));
     for (int step = 0; step < 16; ++step) {
       const auto displayed = service.Displayed(id);
       if (displayed.empty()) break;

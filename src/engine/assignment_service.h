@@ -106,13 +106,16 @@ class SessionRelevanceCache {
   size_t bytes_used() const { return 0; }
 };
 
-/// The platform workflow of Fig. 4: workers register, receive displayed
-/// task sets, and notify completions; the service observes completions,
-/// re-estimates (alpha, beta), and re-runs the configured assignment
-/// strategy when a worker's trigger fires.
+/// The per-shard engine of the Fig. 4 workflow: workers register,
+/// receive displayed task sets, and notify completions; the engine
+/// observes completions, re-estimates (alpha, beta), and re-runs the
+/// configured assignment strategy when a worker's trigger fires.
 ///
-/// Single-threaded by design: the discrete-event simulator (and any
-/// real deployment loop) serializes calls.
+/// Clients do not construct it: ShardedAssignmentService is the
+/// service, and owns one engine per shard (at its default of one shard,
+/// a single engine over the caller's catalog). Single-threaded by
+/// design; the front-end serializes each engine's calls under its
+/// shard's mutex.
 class AssignmentService {
  public:
   AssignmentService(const std::vector<Task>* catalog,

@@ -46,7 +46,7 @@ ShardedAssignmentService::ShardedAssignmentService(
   if (num_shards == 1) {
     // Pass-through: the shard reads the caller's catalog and writes the
     // caller's event log directly, with untouched options — this *is*
-    // the unsharded service, wrapped in one mutex.
+    // a bare engine, wrapped in one mutex.
     shards_[0]->service =
         std::make_unique<AssignmentService>(catalog_, options_.service);
     return;

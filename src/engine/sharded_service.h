@@ -10,36 +10,37 @@
 
 namespace hta {
 
-/// Configuration of the sharded serving front-end. `service` configures
-/// every per-shard AssignmentService (seed, strategy, caches, ...); the
-/// shard count defaults to 1.
+/// Configuration of the assignment service. `service` configures every
+/// per-shard engine (seed, strategy, caches, ...); the shard count
+/// defaults to 1.
 struct ShardedServiceOptions {
   AssignmentServiceOptions service;
   /// Disjoint task shards. Clamped to [1, catalog size] at
-  /// construction; 1 reproduces the unsharded service bit-for-bit.
+  /// construction; 1 reproduces a bare engine bit-for-bit.
   size_t num_shards = 1;
 };
 
-/// A sharded serving front-end over N independent AssignmentServices.
+/// The assignment service of Fig. 4 — the one serving surface every
+/// deployment, tool and example drives.
 ///
-/// The single AssignmentService is single-threaded by design: one
-/// global object serializes every registration, completion, and
-/// iteration, so the engine can solve fast but can only *serve* on one
-/// core. This front-end partitions the catalog into `num_shards`
-/// disjoint task shards — global index g lives in shard g % S at local
-/// index g / S — and gives each shard a full AssignmentService with its
-/// own TaskPool, CatalogCache, and RNG stream
+/// One engine (AssignmentService) is single-threaded by design: it
+/// serializes every registration, completion, and iteration, so it can
+/// solve fast but can only *serve* on one core. The service partitions
+/// the catalog into `num_shards` disjoint task shards — global index g
+/// lives in shard g % S at local index g / S — and gives each shard a
+/// full engine with its own TaskPool, CatalogCache, and RNG stream
 /// (`seed ^ shard_id`). Sessions are routed to shards by a
 /// deterministic FNV-1a hash of the worker's interest bits, and each
 /// public entry point locks only the target shard's mutex, so traffic
-/// on different shards proceeds truly concurrently.
+/// on different shards proceeds truly concurrently. The default is one
+/// shard.
 ///
 /// Determinism contract (the repo-wide rule, extended to serving):
 ///
-///  * `num_shards == 1` is *bit-identical* to a bare AssignmentService
-///    with the same options: the shard shares the caller's catalog
-///    pointer and event log, worker ids are the same dense 1, 2, ...
-///    stream, and the seed is untouched (`seed ^ 0`).
+///  * `num_shards == 1` is *bit-identical* to a bare engine with the
+///    same options: the shard shares the caller's catalog pointer and
+///    event log, worker ids are the same dense 1, 2, ... stream, and
+///    the seed is untouched (`seed ^ 0`).
 ///  * For any shard count, results do not depend on which threads
 ///    drive the shards or on HTA_THREADS: each shard's state evolves
 ///    only from its own calls (disjoint tasks, disjoint workers,
@@ -81,8 +82,8 @@ class ShardedAssignmentService {
     return local_index * shards_.size() + shard;
   }
 
-  /// --- Serving surface (mirrors AssignmentService; thread-safe, each
-  /// call locks exactly the target shard).
+  /// --- Serving surface (thread-safe; each call locks exactly the
+  /// target shard).
   uint64_t RegisterWorker(const KeywordVector& interests);
   /// Displayed bundle as *global* catalog indices.
   std::vector<size_t> Displayed(uint64_t worker_id) const;

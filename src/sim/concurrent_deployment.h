@@ -3,6 +3,7 @@
 
 #include <vector>
 
+#include "engine/sharded_service.h"
 #include "sim/crowd_sim.h"
 
 namespace hta {
@@ -18,6 +19,10 @@ struct ConcurrentDeploymentOptions {
   double arrival_rate_per_min = 0.75;
   SessionConfig session;
   uint64_t seed = 99;
+  /// Load-generating threads, clamped to [1, num_shards] (0 counts as
+  /// 1) — a shard's event loop is serial, threads only parallelize
+  /// *across* shards.
+  size_t driver_threads = 1;
 };
 
 /// Deployment-level diagnostics on top of the per-session results.
@@ -38,18 +43,28 @@ struct DeploymentResult {
 };
 
 /// Cumulative Poisson-process arrival times (minutes) for `count`
-/// workers: the canonical arrival stream every deployment driver —
-/// unsharded or sharded — draws from `Rng(seed)` in slot order, so the
-/// same (count, rate, seed) triple always produces the same schedule.
+/// workers: the canonical arrival stream every deployment draws from
+/// `Rng(seed)` in slot order, so the same (count, rate, seed) triple
+/// always produces the same schedule, however the slots are sharded.
 std::vector<double> PoissonArrivalMinutes(size_t count, double rate_per_min,
                                           uint64_t seed);
 
 /// Runs a concurrent deployment: each worker in `workers` arrives at a
-/// Poisson-process time and works a session against the shared
-/// `service`. Event-driven; deterministic given the option seed and the
-/// workers' own streams.
+/// Poisson-process time and works a session against `service`.
+/// Workers are routed to shards by their interest hash, and each
+/// shard's discrete-event loop runs independently — on
+/// `driver_threads` threads, thread t driving shards t, t + T, ...
+/// Per-shard event streams are merged after the run in deterministic
+/// (timestamp, worker_id) order into the caller's EventLog and the
+/// DeploymentResult, so the result is a function of the option seed
+/// and the workers' own streams alone: bit-identical for any
+/// driver-thread cap and any HTA_THREADS.
+///
+/// Each shard solves over its own catalog slice, so the deployment
+/// depends on the shard count; at the default of one shard it is the
+/// single-service deployment.
 DeploymentResult RunConcurrentDeployment(
-    AssignmentService* service, const Catalog& catalog,
+    ShardedAssignmentService* service, const Catalog& catalog,
     std::vector<BehavioralWorker>* workers,
     const ConcurrentDeploymentOptions& options);
 

@@ -16,19 +16,21 @@ size_t SessionResult::questions_correct() const {
   return total;
 }
 
-SessionResult RunSession(AssignmentService* service, const Catalog& catalog,
-                         BehavioralWorker* worker,
+SessionResult RunSession(ShardedAssignmentService* service,
+                         const Catalog& catalog, BehavioralWorker* worker,
                          const SessionConfig& config) {
   HTA_CHECK(service != nullptr);
   HTA_CHECK(worker != nullptr);
 
   SessionResult session;
-  // Sessions share one service; its audit clock is deployment-global
-  // while `minutes` below is session-relative.
-  const double clock_origin = service->clock_minutes();
   const uint64_t worker_id =
       service->RegisterWorker(worker->profile().interests());
   session.worker_id = worker_id;
+  // Sessions share one service; its audit clock is deployment-global
+  // while `minutes` below is session-relative. Registration does not
+  // move the clock, so reading the origin after it is the arrival time.
+  const size_t shard = service->ShardOfWorker(worker_id);
+  const double clock_origin = service->shard_clock_minutes(shard);
 
   double minutes = 0.0;
   while (minutes < config.max_minutes) {
@@ -74,7 +76,7 @@ SessionResult RunSession(AssignmentService* service, const Catalog& catalog,
   // The session ends at the last completion's clock; the cap-expiry
   // sentinel above does not advance the service clock (no event was
   // submitted at the deadline).
-  session.ended_minute = service->clock_minutes();
+  session.ended_minute = service->shard_clock_minutes(shard);
   service->Deregister(worker_id);
   return session;
 }

@@ -4,7 +4,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "engine/assignment_service.h"
+#include "engine/sharded_service.h"
 #include "sim/behavior.h"
 #include "sim/catalog.h"
 #include "util/result.h"
@@ -49,13 +49,14 @@ struct SessionConfig {
   double max_minutes = 30.0;
 };
 
-/// Runs one worker session against an AssignmentService: repeatedly
-/// choose a displayed task with the behavioral model, spend time,
-/// answer its questions, notify the service, and possibly leave.
+/// Runs one worker session against the service: repeatedly choose a
+/// displayed task with the behavioral model, spend time, answer its
+/// questions, notify the service, and possibly leave.
 ///
 /// The service outlives the call and accumulates state across sessions
 /// (the task pool depletes, as on a real platform).
-SessionResult RunSession(AssignmentService* service, const Catalog& catalog,
+SessionResult RunSession(ShardedAssignmentService* service,
+                         const Catalog& catalog,
                          BehavioralWorker* worker,
                          const SessionConfig& config);
 

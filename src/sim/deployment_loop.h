@@ -53,13 +53,6 @@ struct WorkerRun {
   SessionResult session;
 };
 
-/// Fills `result`'s iteration aggregates from the services' logs,
-/// visited in the given order: the iteration count, the summed setup
-/// and solve seconds, and the mean |W^i| pooled over every
-/// solver-backed iteration of every service.
-void AggregateIterations(const std::vector<const AssignmentService*>& services,
-                         DeploymentResult* result);
-
 /// Aggregates of one event loop: wall-clock horizon and the peak
 /// simultaneous sessions *within this loop's slot subset*.
 struct LoopStats {
@@ -67,17 +60,16 @@ struct LoopStats {
   size_t peak_concurrent = 0;
 };
 
-/// The discrete-event deployment loop, shared by the single-service
-/// driver (RunConcurrentDeployment) and the per-shard loops of
-/// RunShardedDeployment. `Service` is anything with the serving
-/// surface: AdvanceClock(double), RegisterWorker(interests) -> id,
+/// The discrete-event deployment loop RunConcurrentDeployment runs once
+/// per shard. `Service` is anything with the serving surface:
+/// AdvanceClock(double), RegisterWorker(interests) -> id,
 /// Displayed(id) -> catalog indices, NotifyCompleted(id, index) ->
 /// Status, Deregister(id), clock_minutes(). `slots` selects which
 /// workers this loop simulates (indices into *workers / *sessions);
 /// `arrival_minutes` is indexed by slot and pre-computed by the caller
-/// so a sharded run consumes the exact arrival stream of the unsharded
-/// one. Results land in (*sessions)[slot] — disjoint slot subsets make
-/// concurrent loops write disjoint elements.
+/// so every shard consumes the one canonical arrival stream. Results
+/// land in (*sessions)[slot] — disjoint slot subsets make concurrent
+/// loops write disjoint elements.
 template <typename Service>
 LoopStats RunDeploymentLoop(Service* service, const Catalog& catalog,
                             std::vector<BehavioralWorker>* workers,

@@ -89,10 +89,11 @@ OnlineExperimentResult RunOnlineExperiment(
     auto workers_or = GenerateWorkers(worker_options, catalog);
     HTA_CHECK(workers_or.ok()) << workers_or.status();
 
-    AssignmentServiceOptions service_options = options.service;
-    service_options.strategy = kind;
-    service_options.metric = DistanceKind::kJaccard;
-    AssignmentService service(&catalog.tasks, service_options);
+    ShardedServiceOptions service_options;
+    service_options.service = options.service;
+    service_options.service.strategy = kind;
+    service_options.service.metric = DistanceKind::kJaccard;
+    ShardedAssignmentService service(&catalog.tasks, service_options);
 
     // Same behavioral workers across strategies: parameters and
     // behavior streams derive from the master seed and session index
@@ -145,9 +146,11 @@ OnlineExperimentResult RunOnlineExperiment(
         alpha_count > 0 ? alpha_sum / static_cast<double>(alpha_count) : 0.0;
     curves.max_concurrent_sessions = max_concurrent;
     curves.service_iterations = service.iteration_count();
-    for (const IterationRecord& record : service.iterations()) {
-      curves.total_setup_seconds += record.setup_seconds;
-      curves.total_solve_seconds += record.solve_seconds;
+    for (size_t s = 0; s < service.num_shards(); ++s) {
+      for (const IterationRecord& record : service.shard(s).iterations()) {
+        curves.total_setup_seconds += record.setup_seconds;
+        curves.total_solve_seconds += record.solve_seconds;
+      }
     }
     result.curves.push_back(std::move(curves));
   }

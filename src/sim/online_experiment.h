@@ -88,9 +88,11 @@ struct OnlineExperimentResult {
   const StrategyCurves& ForStrategy(StrategyKind kind) const;
 };
 
-/// Runs the experiment: for each strategy, a fresh catalog + service,
-/// the same simulated worker population (identical seeds across
-/// strategies for paired comparison), sessions run sequentially.
+/// Runs the experiment: for each strategy, a fresh catalog and a
+/// one-shard ShardedAssignmentService, the same simulated worker
+/// population (identical seeds across strategies for paired
+/// comparison), sessions back to back or overlapping per
+/// `concurrent_sessions`.
 OnlineExperimentResult RunOnlineExperiment(
     const OnlineExperimentOptions& options);
 

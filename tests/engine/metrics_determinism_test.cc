@@ -44,14 +44,14 @@ std::vector<BehavioralWorker> TestWorkers(const Catalog& catalog,
 }
 
 DeploymentResult RunDeployment(const Catalog& catalog, size_t solver_threads) {
-  AssignmentServiceOptions service_options;
-  service_options.strategy = StrategyKind::kHtaGre;
-  service_options.xmax = 6;
-  service_options.extra_random_tasks = 2;
-  service_options.refresh_after_completions = 3;
-  service_options.max_tasks_per_iteration = 100;
-  service_options.solver_threads = solver_threads;
-  AssignmentService service(&catalog.tasks, service_options);
+  ShardedServiceOptions service_options;
+  service_options.service.strategy = StrategyKind::kHtaGre;
+  service_options.service.xmax = 6;
+  service_options.service.extra_random_tasks = 2;
+  service_options.service.refresh_after_completions = 3;
+  service_options.service.max_tasks_per_iteration = 100;
+  service_options.service.solver_threads = solver_threads;
+  ShardedAssignmentService service(&catalog.tasks, service_options);
   auto workers = TestWorkers(catalog, 6);
   ConcurrentDeploymentOptions options;
   options.arrival_rate_per_min = 2.0;

@@ -17,9 +17,16 @@
 //     Deregister from inside the loop), so the equivalence covers
 //     mid-run deregistration by construction.
 //
+//  3. The deployment driver at one shard is the bare engine's event
+//     loop: RunConcurrentDeployment on a 1-shard front-end and
+//     sim_internal::RunDeploymentLoop on a bare AssignmentService give
+//     the same sessions, audit log, iteration records and deployment
+//     aggregates, with warm start off and on.
+//
 //  Shard count, warm start and driver threads are set through the
 //  option fields alone; the environment never overrides them.
 #include <cstdlib>
+#include <numeric>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -31,7 +38,8 @@
 #include "engine/sharded_service.h"
 #include "sim/behavior.h"
 #include "sim/catalog.h"
-#include "sim/sharded_deployment.h"
+#include "sim/concurrent_deployment.h"
+#include "sim/deployment_loop.h"
 #include "sim/worker_gen.h"
 #include "util/rng.h"
 #include "util/status.h"
@@ -227,20 +235,18 @@ ShardedServiceOptions BaseServiceOptions() {
 }
 
 /// A short deployment; driver threads stay at their default.
-ShardedDeploymentOptions BaseDeploymentOptions() {
-  ShardedDeploymentOptions deployment;
+ConcurrentDeploymentOptions BaseDeploymentOptions() {
+  ConcurrentDeploymentOptions deployment;
   deployment.arrival_rate_per_min = 1.5;
   deployment.session.max_minutes = 5.0;
   deployment.seed = 1234;
   return deployment;
 }
 
-DeploymentRun RunDeployment(const Catalog& catalog,
-                            const std::vector<Worker>& profiles,
-                            ShardedServiceOptions options,
-                            const ShardedDeploymentOptions& deployment) {
-  // Workers are stateful (boredom, history, RNG): rebuild the same
-  // population from the same seeds for every run.
+/// Workers are stateful (boredom, history, RNG): every run rebuilds
+/// the same population from the same seeds.
+std::vector<BehavioralWorker> MakeBehavioral(
+    const Catalog& catalog, const std::vector<Worker>& profiles) {
   std::vector<BehavioralWorker> behavioral;
   behavioral.reserve(profiles.size());
   for (size_t s = 0; s < profiles.size(); ++s) {
@@ -249,12 +255,19 @@ DeploymentRun RunDeployment(const Catalog& catalog,
     behavioral.emplace_back(&catalog.tasks, DistanceKind::kJaccard,
                             profiles[s], params, param_rng.Fork(17));
   }
+  return behavioral;
+}
 
+DeploymentRun RunDeployment(const Catalog& catalog,
+                            const std::vector<Worker>& profiles,
+                            ShardedServiceOptions options,
+                            const ConcurrentDeploymentOptions& deployment) {
+  std::vector<BehavioralWorker> behavioral = MakeBehavioral(catalog, profiles);
   DeploymentRun run;
   options.service.event_log = &run.log;
   ShardedAssignmentService service(&catalog.tasks, options);
-  run.result = RunShardedDeployment(&service, catalog, &behavioral,
-                                    deployment);
+  run.result = RunConcurrentDeployment(&service, catalog, &behavioral,
+                                       deployment);
   for (size_t s = 0; s < service.num_shards(); ++s) {
     run.shard_iterations.push_back(service.shard(s).iterations());
   }
@@ -272,7 +285,7 @@ DeploymentRun RunOnce(const Catalog& catalog,
   options.num_shards = 4;
   options.service.solver_threads = solver_threads;
   options.service.warm_start = warm_start;
-  ShardedDeploymentOptions deployment = BaseDeploymentOptions();
+  ConcurrentDeploymentOptions deployment = BaseDeploymentOptions();
   deployment.driver_threads = driver_threads;
   DeploymentRun run = RunDeployment(catalog, profiles, options, deployment);
   EXPECT_EQ(run.shard_iterations.size(), size_t{4});
@@ -298,6 +311,7 @@ void ExpectSameRun(const DeploymentRun& a, const DeploymentRun& b) {
     EXPECT_EQ(sa.left_voluntarily, sb.left_voluntarily);
     ASSERT_EQ(sa.events.size(), sb.events.size()) << "slot " << s;
     for (size_t e = 0; e < sa.events.size(); ++e) {
+      EXPECT_EQ(sa.events[e].session_minute, sb.events[e].session_minute);
       EXPECT_EQ(sa.events[e].wall_minute, sb.events[e].wall_minute);
       EXPECT_EQ(sa.events[e].worker_id, sb.events[e].worker_id);
       EXPECT_EQ(sa.events[e].catalog_task, sb.events[e].catalog_task);
@@ -409,6 +423,70 @@ TEST_F(ShardedDeploymentDeterminismTest, EnvironmentNeverOverridesOptions) {
   }
   EXPECT_GT(without_env.completions, size_t{0});
   ExpectSameRun(without_env, with_env);
+}
+
+// ---------------------------------------------------------------------------
+// Property 3: at one shard, RunConcurrentDeployment is the bare engine's
+// event loop.
+
+/// Drives `RunDeploymentLoop` straight on a bare AssignmentService over
+/// every slot, with the arrival stream RunConcurrentDeployment draws,
+/// and fills the deployment aggregates from the engine's own records.
+DeploymentRun RunBareEngine(const Catalog& catalog,
+                            const std::vector<Worker>& profiles,
+                            AssignmentServiceOptions options,
+                            const ConcurrentDeploymentOptions& deployment) {
+  std::vector<BehavioralWorker> behavioral = MakeBehavioral(catalog, profiles);
+  DeploymentRun run;
+  options.event_log = &run.log;
+  AssignmentService engine(&catalog.tasks, options);
+  std::vector<size_t> slots(behavioral.size());
+  std::iota(slots.begin(), slots.end(), size_t{0});
+  const std::vector<double> arrivals = PoissonArrivalMinutes(
+      behavioral.size(), deployment.arrival_rate_per_min, deployment.seed);
+  run.result.sessions.resize(behavioral.size());
+  const sim_internal::LoopStats stats = sim_internal::RunDeploymentLoop(
+      &engine, catalog, &behavioral, slots, arrivals, deployment.session,
+      &run.result.sessions);
+
+  run.result.deployment_minutes = stats.deployment_minutes;
+  run.result.max_concurrent_sessions = stats.peak_concurrent;
+  run.result.iterations = engine.iteration_count();
+  double pooled_workers = 0.0;
+  size_t solver_backed = 0;
+  for (const IterationRecord& record : engine.iterations()) {
+    if (record.task_count == 0) continue;  // Cold-start random bundle.
+    pooled_workers += static_cast<double>(record.worker_count);
+    ++solver_backed;
+  }
+  if (solver_backed > 0) {
+    run.result.mean_workers_per_iteration =
+        pooled_workers / static_cast<double>(solver_backed);
+  }
+  run.shard_iterations.push_back(engine.iterations());
+  for (const SessionResult& session : run.result.sessions) {
+    run.completions += session.events.size();
+  }
+  return run;
+}
+
+TEST_F(ShardedDeploymentDeterminismTest, OneShardDriverIsTheBareEngineLoop) {
+  const Catalog catalog = MakeDeploymentCatalog();
+  const std::vector<Worker> profiles = MakeProfiles(catalog);
+  for (const bool warm_start : {false, true}) {
+    SCOPED_TRACE(warm_start ? "warm start on" : "warm start off");
+    ShardedServiceOptions options = BaseServiceOptions();
+    options.service.warm_start = warm_start;
+    const DeploymentRun bare = RunBareEngine(
+        catalog, profiles, options.service, BaseDeploymentOptions());
+    const DeploymentRun fronted =
+        RunDeployment(catalog, profiles, options, BaseDeploymentOptions());
+    ASSERT_EQ(fronted.shard_iterations.size(), size_t{1});
+    EXPECT_GT(bare.completions, size_t{0});
+    EXPECT_GT(bare.result.max_concurrent_sessions, size_t{1})
+        << "sessions did not overlap; the loop exercises no pooling";
+    ExpectSameRun(bare, fronted);
+  }
 }
 
 // ---------------------------------------------------------------------------

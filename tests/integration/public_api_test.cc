@@ -8,7 +8,7 @@
 
 #include "assign/hta_solver.h"
 #include "assign/local_search.h"
-#include "engine/assignment_service.h"
+#include "engine/sharded_service.h"
 #include "io/catalog_io.h"
 #include "sim/online_experiment.h"
 #include "sim/worker_gen.h"

@@ -20,13 +20,13 @@ Catalog TestCatalog() {
   return std::move(*c);
 }
 
-AssignmentServiceOptions TestServiceOptions(StrategyKind strategy) {
-  AssignmentServiceOptions o;
-  o.strategy = strategy;
-  o.xmax = 6;
-  o.extra_random_tasks = 2;
-  o.refresh_after_completions = 3;
-  o.max_tasks_per_iteration = 100;
+ShardedServiceOptions TestServiceOptions(StrategyKind strategy) {
+  ShardedServiceOptions o;
+  o.service.strategy = strategy;
+  o.service.xmax = 6;
+  o.service.extra_random_tasks = 2;
+  o.service.refresh_after_completions = 3;
+  o.service.max_tasks_per_iteration = 100;
   return o;
 }
 
@@ -50,8 +50,8 @@ std::vector<BehavioralWorker> TestWorkers(const Catalog& catalog,
 
 TEST(ConcurrentDeploymentTest, AllSessionsComplete) {
   const Catalog catalog = TestCatalog();
-  AssignmentService service(&catalog.tasks,
-                            TestServiceOptions(StrategyKind::kHtaGre));
+  ShardedAssignmentService service(&catalog.tasks,
+                                   TestServiceOptions(StrategyKind::kHtaGre));
   auto workers = TestWorkers(catalog, 6);
   ConcurrentDeploymentOptions options;
   options.session.max_minutes = 10.0;
@@ -71,10 +71,10 @@ TEST(ConcurrentDeploymentTest, SessionsActuallyOverlap) {
   // With a fast arrival rate and long sessions, concurrency > 1 and at
   // least one solver iteration pools multiple workers.
   const Catalog catalog = TestCatalog();
-  AssignmentServiceOptions service_options =
+  ShardedServiceOptions service_options =
       TestServiceOptions(StrategyKind::kHtaGreRel);
-  service_options.min_batch_workers = 3;
-  AssignmentService service(&catalog.tasks, service_options);
+  service_options.service.min_batch_workers = 3;
+  ShardedAssignmentService service(&catalog.tasks, service_options);
   auto workers = TestWorkers(catalog, 8);
   ConcurrentDeploymentOptions options;
   options.arrival_rate_per_min = 4.0;
@@ -88,8 +88,8 @@ TEST(ConcurrentDeploymentTest, SessionsActuallyOverlap) {
 
 TEST(ConcurrentDeploymentTest, EventTimesAreSessionRelativeAndOrdered) {
   const Catalog catalog = TestCatalog();
-  AssignmentService service(&catalog.tasks,
-                            TestServiceOptions(StrategyKind::kHtaGreDiv));
+  ShardedAssignmentService service(
+      &catalog.tasks, TestServiceOptions(StrategyKind::kHtaGreDiv));
   auto workers = TestWorkers(catalog, 5);
   ConcurrentDeploymentOptions options;
   options.session.max_minutes = 8.0;
@@ -110,8 +110,8 @@ TEST(ConcurrentDeploymentTest, EventTimesAreSessionRelativeAndOrdered) {
 
 TEST(ConcurrentDeploymentTest, NoTaskCompletedTwice) {
   const Catalog catalog = TestCatalog();
-  AssignmentService service(&catalog.tasks,
-                            TestServiceOptions(StrategyKind::kHtaGre));
+  ShardedAssignmentService service(&catalog.tasks,
+                                   TestServiceOptions(StrategyKind::kHtaGre));
   auto workers = TestWorkers(catalog, 8);
   ConcurrentDeploymentOptions options;
   options.arrival_rate_per_min = 3.0;
@@ -122,7 +122,8 @@ TEST(ConcurrentDeploymentTest, NoTaskCompletedTwice) {
   for (const SessionResult& s : result.sessions) {
     for (const CompletionEvent& e : s.events) {
       EXPECT_TRUE(completed.insert(e.catalog_task).second);
-      EXPECT_EQ(service.pool().state(e.catalog_task), TaskState::kCompleted);
+      EXPECT_EQ(service.shard(0).pool().state(e.catalog_task),
+                TaskState::kCompleted);
     }
   }
 }
@@ -130,8 +131,8 @@ TEST(ConcurrentDeploymentTest, NoTaskCompletedTwice) {
 TEST(ConcurrentDeploymentTest, DeterministicForSeeds) {
   const Catalog catalog = TestCatalog();
   auto run_once = [&]() {
-    AssignmentService service(&catalog.tasks,
-                              TestServiceOptions(StrategyKind::kHtaGre));
+    ShardedAssignmentService service(&catalog.tasks,
+                                     TestServiceOptions(StrategyKind::kHtaGre));
     auto workers = TestWorkers(catalog, 5);
     ConcurrentDeploymentOptions options;
     options.session.max_minutes = 6.0;

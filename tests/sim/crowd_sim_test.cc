@@ -19,13 +19,13 @@ Catalog TestCatalog() {
   return std::move(*c);
 }
 
-AssignmentServiceOptions TestServiceOptions(StrategyKind strategy) {
-  AssignmentServiceOptions o;
-  o.strategy = strategy;
-  o.xmax = 6;
-  o.extra_random_tasks = 2;
-  o.refresh_after_completions = 3;
-  o.max_tasks_per_iteration = 80;
+ShardedServiceOptions TestServiceOptions(StrategyKind strategy) {
+  ShardedServiceOptions o;
+  o.service.strategy = strategy;
+  o.service.xmax = 6;
+  o.service.extra_random_tasks = 2;
+  o.service.refresh_after_completions = 3;
+  o.service.max_tasks_per_iteration = 80;
   return o;
 }
 
@@ -44,8 +44,8 @@ BehavioralWorker TestWorker(const Catalog& catalog, uint64_t seed) {
 
 TEST(CrowdSimTest, SessionCompletesTasksWithinTimeBudget) {
   const Catalog catalog = TestCatalog();
-  AssignmentService service(&catalog.tasks,
-                            TestServiceOptions(StrategyKind::kHtaGre));
+  ShardedAssignmentService service(&catalog.tasks,
+                                   TestServiceOptions(StrategyKind::kHtaGre));
   BehavioralWorker worker = TestWorker(catalog, 1);
   SessionConfig config;
   config.max_minutes = 30.0;
@@ -66,8 +66,8 @@ TEST(CrowdSimTest, SessionCompletesTasksWithinTimeBudget) {
 
 TEST(CrowdSimTest, QuestionAccountingConsistent) {
   const Catalog catalog = TestCatalog();
-  AssignmentService service(&catalog.tasks,
-                            TestServiceOptions(StrategyKind::kHtaGreDiv));
+  ShardedAssignmentService service(
+      &catalog.tasks, TestServiceOptions(StrategyKind::kHtaGreDiv));
   BehavioralWorker worker = TestWorker(catalog, 2);
   const SessionResult session =
       RunSession(&service, catalog, &worker, SessionConfig{});
@@ -82,21 +82,23 @@ TEST(CrowdSimTest, QuestionAccountingConsistent) {
 
 TEST(CrowdSimTest, CompletedTasksAreCompletedInPool) {
   const Catalog catalog = TestCatalog();
-  AssignmentService service(&catalog.tasks,
-                            TestServiceOptions(StrategyKind::kHtaGreRel));
+  ShardedAssignmentService service(
+      &catalog.tasks, TestServiceOptions(StrategyKind::kHtaGreRel));
   BehavioralWorker worker = TestWorker(catalog, 3);
   const SessionResult session =
       RunSession(&service, catalog, &worker, SessionConfig{});
   for (const CompletionEvent& e : session.events) {
-    EXPECT_EQ(service.pool().state(e.catalog_task), TaskState::kCompleted);
+    EXPECT_EQ(service.shard(0).pool().state(e.catalog_task),
+              TaskState::kCompleted);
   }
-  EXPECT_EQ(service.pool().completed_count(), session.tasks_completed());
+  EXPECT_EQ(service.shard(0).pool().completed_count(),
+            session.tasks_completed());
 }
 
 TEST(CrowdSimTest, NoTaskCompletedTwiceAcrossSessions) {
   const Catalog catalog = TestCatalog();
-  AssignmentService service(&catalog.tasks,
-                            TestServiceOptions(StrategyKind::kHtaGre));
+  ShardedAssignmentService service(&catalog.tasks,
+                                   TestServiceOptions(StrategyKind::kHtaGre));
   std::set<size_t> completed;
   for (uint64_t s = 0; s < 5; ++s) {
     BehavioralWorker worker = TestWorker(catalog, 10 + s);
@@ -111,8 +113,8 @@ TEST(CrowdSimTest, NoTaskCompletedTwiceAcrossSessions) {
 
 TEST(CrowdSimTest, ShortSessionCapRespected) {
   const Catalog catalog = TestCatalog();
-  AssignmentService service(&catalog.tasks,
-                            TestServiceOptions(StrategyKind::kHtaGre));
+  ShardedAssignmentService service(&catalog.tasks,
+                                   TestServiceOptions(StrategyKind::kHtaGre));
   BehavioralWorker worker = TestWorker(catalog, 4);
   SessionConfig config;
   config.max_minutes = 2.0;
@@ -126,8 +128,8 @@ TEST(CrowdSimTest, ShortSessionCapRespected) {
 TEST(CrowdSimTest, DeterministicGivenSeeds) {
   const Catalog catalog = TestCatalog();
   auto run_once = [&]() {
-    AssignmentService service(&catalog.tasks,
-                              TestServiceOptions(StrategyKind::kHtaGre));
+    ShardedAssignmentService service(&catalog.tasks,
+                                     TestServiceOptions(StrategyKind::kHtaGre));
     BehavioralWorker worker = TestWorker(catalog, 5);
     return RunSession(&service, catalog, &worker, SessionConfig{});
   };

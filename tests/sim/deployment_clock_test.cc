@@ -30,13 +30,13 @@ Catalog TestCatalog() {
   return std::move(*c);
 }
 
-AssignmentServiceOptions TestServiceOptions() {
-  AssignmentServiceOptions o;
-  o.strategy = StrategyKind::kHtaGre;
-  o.xmax = 6;
-  o.extra_random_tasks = 2;
-  o.refresh_after_completions = 3;
-  o.max_tasks_per_iteration = 100;
+ShardedServiceOptions TestServiceOptions() {
+  ShardedServiceOptions o;
+  o.service.strategy = StrategyKind::kHtaGre;
+  o.service.xmax = 6;
+  o.service.extra_random_tasks = 2;
+  o.service.refresh_after_completions = 3;
+  o.service.max_tasks_per_iteration = 100;
   return o;
 }
 
@@ -98,9 +98,9 @@ const LoggedEvent* FindDeregistration(const EventLog& log,
 TEST(DeploymentClockTest, CappedSessionsExpireAtArrivalPlusMax) {
   const Catalog catalog = TestCatalog();
   EventLog log;
-  AssignmentServiceOptions service_options = TestServiceOptions();
-  service_options.event_log = &log;
-  AssignmentService service(&catalog.tasks, service_options);
+  ShardedServiceOptions service_options = TestServiceOptions();
+  service_options.service.event_log = &log;
+  ShardedAssignmentService service(&catalog.tasks, service_options);
   auto workers = SlowPersistentWorkers(catalog, 4);
   ConcurrentDeploymentOptions options;
   options.arrival_rate_per_min = 1.0;
@@ -125,9 +125,9 @@ TEST(DeploymentClockTest, CappedSessionsExpireAtArrivalPlusMax) {
 TEST(DeploymentClockTest, DeregistrationIsLoggedAtTheSessionEndClock) {
   const Catalog catalog = TestCatalog();
   EventLog log;
-  AssignmentServiceOptions service_options = TestServiceOptions();
-  service_options.event_log = &log;
-  AssignmentService service(&catalog.tasks, service_options);
+  ShardedServiceOptions service_options = TestServiceOptions();
+  service_options.service.event_log = &log;
+  ShardedAssignmentService service(&catalog.tasks, service_options);
   auto workers = SlowPersistentWorkers(catalog, 4);
   ConcurrentDeploymentOptions options;
   options.arrival_rate_per_min = 1.0;
@@ -155,9 +155,9 @@ TEST(DeploymentClockTest, DeregistrationIsLoggedAtTheSessionEndClock) {
 TEST(DeploymentClockTest, InterleavedReplayReproducesLiveEstimates) {
   const Catalog catalog = TestCatalog();
   EventLog log;
-  AssignmentServiceOptions service_options = TestServiceOptions();
-  service_options.event_log = &log;
-  AssignmentService service(&catalog.tasks, service_options);
+  ShardedServiceOptions service_options = TestServiceOptions();
+  service_options.service.event_log = &log;
+  ShardedAssignmentService service(&catalog.tasks, service_options);
   auto workers = SampledWorkers(catalog, 6);
   ConcurrentDeploymentOptions options;
   options.arrival_rate_per_min = 3.0;

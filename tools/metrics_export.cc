@@ -16,7 +16,7 @@
 #include <string>
 #include <vector>
 
-#include "engine/assignment_service.h"
+#include "engine/sharded_service.h"
 #include "sim/concurrent_deployment.h"
 #include "sim/online_experiment.h"
 #include "sim/worker_gen.h"
@@ -94,14 +94,14 @@ int Run(const ExportConfig& config) {
   auto catalog = GenerateCatalog(catalog_options);
   HTA_CHECK(catalog.ok()) << catalog.status();
 
-  AssignmentServiceOptions service_options;
-  service_options.strategy = StrategyKind::kHtaGre;
-  service_options.xmax = 6;
-  service_options.extra_random_tasks = 2;
-  service_options.refresh_after_completions = 3;
-  service_options.max_tasks_per_iteration = 100;
-  service_options.seed = config.seed;
-  AssignmentService service(&catalog->tasks, service_options);
+  ShardedServiceOptions service_options;
+  service_options.service.strategy = StrategyKind::kHtaGre;
+  service_options.service.xmax = 6;
+  service_options.service.extra_random_tasks = 2;
+  service_options.service.refresh_after_completions = 3;
+  service_options.service.max_tasks_per_iteration = 100;
+  service_options.service.seed = config.seed;
+  ShardedAssignmentService service(&catalog->tasks, service_options);
 
   auto workers = MakeWorkers(*catalog, config.workers, config.seed);
   ConcurrentDeploymentOptions deployment;
