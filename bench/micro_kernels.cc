@@ -10,11 +10,15 @@
 #include "assign/local_search.h"
 #include "matching/lsap.h"
 #include "matching/max_weight_matching.h"
+#include "reference/naive_deltas.h"
 #include "sim/catalog.h"
 #include "util/rng.h"
 
 namespace hta {
 namespace {
+
+using reference::NaiveReplaceDelta;
+using reference::NaiveInsertDelta;
 
 Catalog MakeCatalog(size_t tasks) {
   CatalogOptions options;

@@ -50,8 +50,8 @@ class AssignmentAuditor {
   Status CheckStructure(const Assignment& assignment) const;
 
   /// Recomputes the Eq. 3 objective from scratch — per-bundle
-  /// BundleMotivation(), the same evaluator NaiveInsertDelta calls and
-  /// the same problem.Relevance() NaiveReplaceDelta reads — and checks
+  /// BundleMotivation() over problem.Relevance(), the evaluators the
+  /// tests' naive move deltas (tests/reference/) use too — and checks
   /// that `claimed_objective` (an incrementally maintained value such
   /// as initial + Σ applied deltas, or a BundleStatsCache-derived
   /// total) agrees within kObjectiveTolerance. Divergence, including NaN,

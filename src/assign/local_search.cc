@@ -40,8 +40,8 @@ constexpr double kImprovementEps = 1e-12;
 /// the incumbent when its delta is better by this margin. Exact-
 /// arithmetic ties between candidates (common with rational Jaccard /
 /// Dice distances) can round to FP values that differ by a few ulps
-/// between the incremental tables and a from-scratch evaluation
-/// (NaiveReplaceDelta / NaiveInsertDelta); the margin resolves such
+/// between the incremental tables and a from-scratch evaluation (the
+/// naive deltas the equivalence tests replay); the margin resolves such
 /// ties to the same (lowest) scan index either way, so the incremental
 /// search reproduces a naive-delta scan move-for-move.
 constexpr double kTieRelTolerance = 1e-9;
@@ -249,32 +249,6 @@ Status RunPasses(const HtaProblem& problem, const LocalSearchOptions& options,
 }
 
 }  // namespace
-
-double NaiveReplaceDelta(const HtaProblem& problem, const TaskBundle& bundle,
-                         size_t pos, TaskIndex in, WorkerIndex worker) {
-  const TaskIndex out = bundle[pos];
-  const Worker& w = problem.workers()[worker];
-  const TaskDistanceOracle& d = problem.oracle();
-  double diversity_delta = 0.0;
-  for (size_t m = 0; m < bundle.size(); ++m) {
-    if (m == pos) continue;
-    diversity_delta += d(in, bundle[m]) - d(out, bundle[m]);
-  }
-  const double relevance_delta =
-      problem.Relevance(in, worker) - problem.Relevance(out, worker);
-  const double size_minus_one = static_cast<double>(bundle.size()) - 1.0;
-  return 2.0 * w.weights().alpha * diversity_delta +
-         w.weights().beta * size_minus_one * relevance_delta;
-}
-
-double NaiveInsertDelta(const HtaProblem& problem, const TaskBundle& bundle,
-                        TaskIndex in, WorkerIndex worker) {
-  const double before = BundleMotivation(problem, worker, bundle);
-  TaskBundle grown = bundle;
-  grown.push_back(in);
-  const double after = BundleMotivation(problem, worker, grown);
-  return after - before;
-}
 
 BundleStatsCache::BundleStatsCache(const HtaProblem& problem,
                                    Assignment* assignment, size_t max_threads)

@@ -185,4 +185,30 @@ DeploymentResult RunConcurrentDeployment(
   return result;
 }
 
+DeploymentResult RunSequentialDeployment(
+    ShardedAssignmentService* service, const Catalog& catalog,
+    std::vector<BehavioralWorker>* workers, const SessionConfig& session) {
+  HTA_CHECK(service != nullptr);
+  HTA_CHECK(workers != nullptr);
+
+  DeploymentResult result;
+  result.sessions.resize(workers->size());
+  std::vector<double> arrivals(workers->size(), 0.0);
+  for (size_t slot = 0; slot < workers->size(); ++slot) {
+    ShardHandle handle{service, service->ShardForInterests(
+                                    (*workers)[slot].profile().interests())};
+    arrivals[slot] = handle.clock_minutes();
+    const sim_internal::LoopStats stats = sim_internal::RunDeploymentLoop(
+        &handle, catalog, workers, {slot}, arrivals, session,
+        &result.sessions);
+    result.deployment_minutes =
+        std::max(result.deployment_minutes, stats.deployment_minutes);
+    result.max_concurrent_sessions =
+        std::max(result.max_concurrent_sessions, stats.peak_concurrent);
+  }
+  service->FlushEventLog();
+  AggregateIterations(*service, &result);
+  return result;
+}
+
 }  // namespace hta

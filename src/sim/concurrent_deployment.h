@@ -4,6 +4,8 @@
 #include <vector>
 
 #include "engine/sharded_service.h"
+#include "sim/behavior.h"
+#include "sim/catalog.h"
 #include "sim/crowd_sim.h"
 
 namespace hta {
@@ -12,8 +14,8 @@ namespace hta {
 /// (Poisson process) and their sessions overlap, so an assignment
 /// iteration can pool several due workers into one HTA solve — the
 /// W^i sets of Problem 1 with |W^i| > 1, as in the paper's live AMT
-/// deployment where multiple HITs ran at once. (`RunSession` by
-/// contrast runs sessions one at a time.)
+/// deployment where multiple HITs ran at once. (RunSequentialDeployment
+/// by contrast runs sessions one at a time.)
 struct ConcurrentDeploymentOptions {
   /// Mean worker arrivals per minute.
   double arrival_rate_per_min = 0.75;
@@ -67,6 +69,17 @@ DeploymentResult RunConcurrentDeployment(
     ShardedAssignmentService* service, const Catalog& catalog,
     std::vector<BehavioralWorker>* workers,
     const ConcurrentDeploymentOptions& options);
+
+/// Runs the workers' sessions back to back, in slot order (Fig. 5's
+/// default mode): each worker arrives at its shard's clock, which the
+/// previous session on that shard left at its end, and works a
+/// session through the same event loop as RunConcurrentDeployment.
+/// Sessions never overlap, so `max_concurrent_sessions` is 1 and every
+/// iteration solves for one worker. The service outlives the call and
+/// keeps its state (the task pool depletes, as on a real platform).
+DeploymentResult RunSequentialDeployment(
+    ShardedAssignmentService* service, const Catalog& catalog,
+    std::vector<BehavioralWorker>* workers, const SessionConfig& session);
 
 }  // namespace hta
 

@@ -1,13 +1,9 @@
 #ifndef HTA_SIM_CROWD_SIM_H_
 #define HTA_SIM_CROWD_SIM_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
-
-#include "engine/sharded_service.h"
-#include "sim/behavior.h"
-#include "sim/catalog.h"
-#include "util/result.h"
 
 namespace hta {
 
@@ -32,8 +28,9 @@ struct SessionResult {
   uint64_t worker_id = 0;
   double duration_minutes = 0.0;
   /// Deployment wall-clock bounds of the session. `ended_minute` is the
-  /// service-clock time Deregister ran at (arrival + duration); for a
-  /// single RunSession the origin is the service clock at registration.
+  /// service-clock time Deregister ran at (arrival + duration, exactly
+  /// arrival + max_minutes for a session that hit the cap); back-to-back
+  /// sessions arrive at the service clock the previous one ended at.
   double arrival_minute = 0.0;
   double ended_minute = 0.0;
   bool left_voluntarily = false;  ///< false = hit the session time cap.
@@ -48,17 +45,6 @@ struct SessionResult {
 struct SessionConfig {
   double max_minutes = 30.0;
 };
-
-/// Runs one worker session against the service: repeatedly choose a
-/// displayed task with the behavioral model, spend time, answer its
-/// questions, notify the service, and possibly leave.
-///
-/// The service outlives the call and accumulates state across sessions
-/// (the task pool depletes, as on a real platform).
-SessionResult RunSession(ShardedAssignmentService* service,
-                         const Catalog& catalog,
-                         BehavioralWorker* worker,
-                         const SessionConfig& config);
 
 }  // namespace hta
 

@@ -60,9 +60,11 @@ struct LoopStats {
   size_t peak_concurrent = 0;
 };
 
-/// The discrete-event deployment loop RunConcurrentDeployment runs once
-/// per shard. `Service` is anything with the serving surface:
-/// AdvanceClock(double), RegisterWorker(interests) -> id,
+/// The discrete-event loop that steps every simulated session:
+/// RunConcurrentDeployment runs it once per shard over Poisson
+/// arrivals, RunSequentialDeployment once per slot with the slot
+/// arriving at its shard's clock. `Service` is anything with the
+/// serving surface: AdvanceClock(double), RegisterWorker(interests) -> id,
 /// Displayed(id) -> catalog indices, NotifyCompleted(id, index) ->
 /// Status, Deregister(id), clock_minutes(). `slots` selects which
 /// workers this loop simulates (indices into *workers / *sessions);
@@ -92,11 +94,13 @@ LoopStats RunDeploymentLoop(Service* service, const Catalog& catalog,
 
   size_t concurrent = 0;
 
-  // Ends the session; records duration and frees the worker's slot.
-  // Every caller has already advanced the service clock to `minute`, so
-  // Deregister (and its audit-log record) lands at the same service
-  // time as the recorded session end.
-  auto end_session = [&](size_t run_index, double minute, bool voluntary) {
+  // Ends the session at `minute` after `duration` minutes and frees the
+  // worker's slot. Every caller has already advanced the service clock
+  // to `minute`, so Deregister (and its audit-log record) lands at the
+  // same service time as the recorded session end. Expiry passes the
+  // cap itself: (arrival + cap) - arrival can round below the cap.
+  auto end_session = [&](size_t run_index, double minute, double duration,
+                         bool voluntary) {
     HTA_DCHECK_EQ(minute, service->clock_minutes());
     WorkerRun& run = runs[run_index];
     if (!run.active) return;
@@ -105,8 +109,7 @@ LoopStats RunDeploymentLoop(Service* service, const Catalog& catalog,
     run.session.left_voluntarily = voluntary;
     run.session.arrival_minute = run.arrival_minute;
     run.session.ended_minute = minute;
-    run.session.duration_minutes =
-        std::min(minute - run.arrival_minute, session_config.max_minutes);
+    run.session.duration_minutes = duration;
     service->Deregister(run.service_id);
     (*sessions)[slots[run_index]] = run.session;
     stats.deployment_minutes = std::max(stats.deployment_minutes, minute);
@@ -126,7 +129,8 @@ LoopStats RunDeploymentLoop(Service* service, const Catalog& catalog,
     BehavioralWorker& worker = (*workers)[slots[run_index]];
     const std::vector<size_t> displayed = service->Displayed(run.service_id);
     if (displayed.empty()) {
-      end_session(run_index, minute, /*voluntary=*/false);
+      end_session(run_index, minute, minute - run.arrival_minute,
+                  /*voluntary=*/false);
       return;
     }
     const size_t chosen = worker.ChooseTask(displayed);
@@ -171,7 +175,8 @@ LoopStats RunDeploymentLoop(Service* service, const Catalog& catalog,
         if (!run.active) break;
         service->AdvanceClock(event.minute);
         Dm().expirations.Add();
-        end_session(event.run_index, event.minute, /*voluntary=*/false);
+        end_session(event.run_index, event.minute,
+                    session_config.max_minutes, /*voluntary=*/false);
         break;
       }
       case EventKind::kTaskDone: {
@@ -192,7 +197,8 @@ LoopStats RunDeploymentLoop(Service* service, const Catalog& catalog,
         run.session.events.push_back(completion);
         HTA_CHECK(service->NotifyCompleted(run.service_id, task).ok());
         if (worker.DecidesToLeave()) {
-          end_session(event.run_index, event.minute, /*voluntary=*/true);
+          end_session(event.run_index, event.minute,
+                      event.minute - run.arrival_minute, /*voluntary=*/true);
         } else {
           schedule_next(event.run_index, event.minute);
         }

@@ -107,51 +107,33 @@ OnlineExperimentResult RunOnlineExperiment(
                               (*workers_or)[s], params, param_rng.Fork(17));
     }
 
-    std::vector<SessionResult> sessions;
-    sessions.reserve(options.sessions_per_strategy);
-    double alpha_sum = 0.0;
-    size_t alpha_count = 0;
-    size_t max_concurrent = 1;  // Back-to-back sessions never overlap.
+    DeploymentResult run;
     if (options.concurrent_sessions) {
       ConcurrentDeploymentOptions deployment;
       deployment.arrival_rate_per_min = options.arrival_rate_per_min;
       deployment.session = options.session;
       deployment.seed = options.seed + 101;
-      DeploymentResult run = RunConcurrentDeployment(&service, catalog,
-                                                     &behavioral, deployment);
-      sessions = std::move(run.sessions);
-      max_concurrent = run.max_concurrent_sessions;
-      if (kind == StrategyKind::kHtaGre) {
-        for (const SessionResult& session : sessions) {
-          alpha_sum += service.CurrentWeights(session.worker_id).alpha;
-          ++alpha_count;
-        }
-      }
+      run = RunConcurrentDeployment(&service, catalog, &behavioral,
+                                    deployment);
     } else {
-      for (size_t s = 0; s < options.sessions_per_strategy; ++s) {
-        const SessionResult session = RunSession(&service, catalog,
-                                                 &behavioral[s],
-                                                 options.session);
-        if (kind == StrategyKind::kHtaGre) {
-          alpha_sum += service.CurrentWeights(session.worker_id).alpha;
-          ++alpha_count;
-        }
-        sessions.push_back(session);
-      }
+      run = RunSequentialDeployment(&service, catalog, &behavioral,
+                                    options.session);
     }
 
     StrategyCurves curves =
-        BuildCurves(kind, sessions, options.session.max_minutes);
-    curves.mean_alpha_estimate_end =
-        alpha_count > 0 ? alpha_sum / static_cast<double>(alpha_count) : 0.0;
-    curves.max_concurrent_sessions = max_concurrent;
-    curves.service_iterations = service.iteration_count();
-    for (size_t s = 0; s < service.num_shards(); ++s) {
-      for (const IterationRecord& record : service.shard(s).iterations()) {
-        curves.total_setup_seconds += record.setup_seconds;
-        curves.total_solve_seconds += record.solve_seconds;
+        BuildCurves(kind, run.sessions, options.session.max_minutes);
+    if (kind == StrategyKind::kHtaGre && !run.sessions.empty()) {
+      double alpha_sum = 0.0;
+      for (const SessionResult& session : run.sessions) {
+        alpha_sum += service.CurrentWeights(session.worker_id).alpha;
       }
+      curves.mean_alpha_estimate_end =
+          alpha_sum / static_cast<double>(run.sessions.size());
     }
+    curves.max_concurrent_sessions = run.max_concurrent_sessions;
+    curves.service_iterations = run.iterations;
+    curves.total_setup_seconds = run.total_setup_seconds;
+    curves.total_solve_seconds = run.total_solve_seconds;
     result.curves.push_back(std::move(curves));
   }
   return result;

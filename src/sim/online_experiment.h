@@ -75,8 +75,8 @@ struct StrategyCurves {
   size_t service_iterations = 0;        ///< Assignment iterations run.
   double total_setup_seconds = 0.0;     ///< Summed problem-construction time.
   double total_solve_seconds = 0.0;     ///< Summed iteration time.
-  /// Peak simultaneous sessions: 1 when sessions run back to back,
-  /// DeploymentResult::max_concurrent_sessions when they overlap.
+  /// Peak simultaneous sessions (DeploymentResult's): 1 when sessions
+  /// run back to back.
   size_t max_concurrent_sessions = 1;
 };
 

@@ -111,72 +111,4 @@ Result<TeamAssignment> FormTeamsGreedy(
   return assignment;
 }
 
-namespace {
-
-void SearchTeams(const CollaborativeTask& ct,
-                 const std::vector<Worker>& workers,
-                 const TeamScoreWeights& weights, DistanceKind kind,
-                 const std::vector<bool>& taken, size_t next,
-                 std::vector<WorkerIndex>* team, double* best_score,
-                 std::vector<WorkerIndex>* best_team) {
-  if (team->size() == ct.team_size) {
-    const double score = TeamScore(ct.task, *team, workers, weights, kind);
-    if (score > *best_score) {
-      *best_score = score;
-      *best_team = *team;
-    }
-    return;
-  }
-  for (size_t w = next; w < workers.size(); ++w) {
-    if (taken[w]) continue;
-    team->push_back(static_cast<WorkerIndex>(w));
-    SearchTeams(ct, workers, weights, kind, taken, w + 1, team, best_score,
-                best_team);
-    team->pop_back();
-  }
-  // Also consider smaller teams when not enough workers remain; the
-  // caller handles that by accepting the best complete subset found,
-  // falling back to whatever partial team the final evaluation sees.
-}
-
-}  // namespace
-
-Result<TeamAssignment> FormTeamsBruteForce(
-    const std::vector<CollaborativeTask>& tasks,
-    const std::vector<Worker>& workers, const TeamScoreWeights& weights,
-    DistanceKind kind, bool allow_overlap) {
-  HTA_RETURN_IF_ERROR(ValidateInputs(tasks, workers));
-  if (workers.size() > 12) {
-    return Status::InvalidArgument(
-        "brute-force team formation limited to 12 workers");
-  }
-  for (const CollaborativeTask& t : tasks) {
-    if (t.team_size > 5) {
-      return Status::InvalidArgument(
-          "brute-force team formation limited to team_size <= 5");
-    }
-  }
-  TeamAssignment assignment;
-  assignment.teams.reserve(tasks.size());
-  std::vector<bool> taken(workers.size(), false);
-  for (const CollaborativeTask& ct : tasks) {
-    std::vector<WorkerIndex> team;
-    std::vector<WorkerIndex> best_team;
-    double best_score = -1.0;
-    SearchTeams(ct, workers, weights, kind, taken, 0, &team, &best_score,
-                &best_team);
-    if (best_team.empty()) {
-      // Fewer free workers than team_size: take everyone who is left.
-      for (size_t w = 0; w < workers.size(); ++w) {
-        if (!taken[w]) best_team.push_back(static_cast<WorkerIndex>(w));
-      }
-    }
-    if (!allow_overlap) {
-      for (WorkerIndex m : best_team) taken[m] = true;
-    }
-    assignment.teams.push_back(std::move(best_team));
-  }
-  return assignment;
-}
-
 }  // namespace hta

@@ -75,15 +75,6 @@ Result<TeamAssignment> FormTeamsGreedy(
     const std::vector<Worker>& workers, const TeamScoreWeights& weights,
     DistanceKind kind = DistanceKind::kJaccard, bool allow_overlap = false);
 
-/// Exact team formation by exhaustive search over member subsets, one
-/// task at a time in input order (so it is exact per task given earlier
-/// choices, matching what the greedy approximates). Exponential; limited
-/// to <= 12 workers and team sizes <= 5.
-Result<TeamAssignment> FormTeamsBruteForce(
-    const std::vector<CollaborativeTask>& tasks,
-    const std::vector<Worker>& workers, const TeamScoreWeights& weights,
-    DistanceKind kind = DistanceKind::kJaccard, bool allow_overlap = false);
-
 }  // namespace hta
 
 #endif  // HTA_TEAMS_TEAM_FORMATION_H_

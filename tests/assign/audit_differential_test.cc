@@ -15,10 +15,14 @@
 #include "assign/auditor.h"
 #include "assign/hta_solver.h"
 #include "assign/local_search.h"
+#include "reference/naive_deltas.h"
 #include "util/rng.h"
 
 namespace hta {
 namespace {
+
+using reference::NaiveReplaceDelta;
+using reference::NaiveInsertDelta;
 
 struct Fixture {
   std::vector<Task> tasks;

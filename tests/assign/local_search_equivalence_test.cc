@@ -17,10 +17,14 @@
 #include <gtest/gtest.h>
 
 #include "assign/hta_solver.h"
+#include "reference/naive_deltas.h"
 #include "util/rng.h"
 
 namespace hta {
 namespace {
+
+using reference::NaiveReplaceDelta;
+using reference::NaiveInsertDelta;
 
 // Force a multi-threaded global pool (before first use) so thread caps
 // of 4 actually take the worker-thread code path on single-core CI.

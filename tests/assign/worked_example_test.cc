@@ -19,9 +19,12 @@
 #include "assign/hta_solver.h"
 #include "matching/max_weight_matching.h"
 #include "qap/qap_view.h"
+#include "reference/naive_deltas.h"
 
 namespace hta {
 namespace {
+
+using reference::NaiveInsertDelta;
 
 // Force the auditor on before anything latches AuditEnabled(), so the
 // local search checks its incremental objective after every pass.

@@ -122,6 +122,31 @@ TEST(DeploymentClockTest, CappedSessionsExpireAtArrivalPlusMax) {
   EXPECT_GT(expired, 0u) << "no session hit the cap; test setup is broken";
 }
 
+TEST(DeploymentClockTest, ExpiredSessionLastsExactlyTheCap) {
+  const Catalog catalog = TestCatalog();
+  ShardedAssignmentService service(&catalog.tasks, TestServiceOptions());
+  auto workers = SlowPersistentWorkers(catalog, 6);
+  ConcurrentDeploymentOptions options;
+  options.arrival_rate_per_min = 1.0;
+  options.session.max_minutes = 5.0;
+  const DeploymentResult result =
+      RunConcurrentDeployment(&service, catalog, &workers, options);
+
+  size_t rounded = 0;
+  for (const SessionResult& s : result.sessions) {
+    if (s.left_voluntarily || s.tasks_completed() == 0) continue;
+    EXPECT_EQ(s.ended_minute, s.arrival_minute + 5.0);
+    // Fig. 5c counts a session as alive at the cap iff its duration
+    // reaches the cap, so the duration must be the cap itself, not the
+    // rounded difference of the two wall-clock minutes.
+    EXPECT_EQ(s.duration_minutes, 5.0);
+    if (s.ended_minute - s.arrival_minute != 5.0) ++rounded;
+  }
+  EXPECT_GT(rounded, 0u)
+      << "no expired session's arrival rounds (a + cap) - a; test setup "
+         "exercises nothing";
+}
+
 TEST(DeploymentClockTest, DeregistrationIsLoggedAtTheSessionEndClock) {
   const Catalog catalog = TestCatalog();
   EventLog log;

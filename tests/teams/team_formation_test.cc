@@ -5,10 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include "reference/brute_force_teams.h"
 #include "util/rng.h"
 
 namespace hta {
 namespace {
+
+using reference::FormTeamsBruteForce;
 
 constexpr size_t kUniverse = 32;
 
